@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use databp_machine::PageSize;
 use databp_sessions::{enumerate_sessions, SessionSet};
-use databp_sim::{simulate, simulate_naive};
+use databp_sim::{simulate_naive, simulate_sizes};
 use databp_workloads::{prepare, Prepared, Workload};
 use std::hint::black_box;
 
@@ -25,7 +25,7 @@ fn bench_engine(c: &mut Criterion) {
     for name in ["cc", "tex", "spice", "qcd", "bps"] {
         let (p, set) = prep(name);
         // Print the regenerated Table 3 row once (mean counting vars).
-        let counts = simulate(&p.trace, &set, PageSize::K4);
+        let counts = simulate_sizes(&p.trace, &set, &[PageSize::K4]).remove(0);
         let n = counts.len().max(1) as f64;
         println!(
             "table3 row: {:6} sessions={:5} mean_hit={:9.0} mean_miss={:10.0} mean_apm={:8.0}",
@@ -37,10 +37,10 @@ fn bench_engine(c: &mut Criterion) {
         );
         g.throughput(Throughput::Elements(p.trace.len() as u64));
         g.bench_function(format!("{name}/4k"), |b| {
-            b.iter(|| black_box(simulate(&p.trace, &set, PageSize::K4)));
+            b.iter(|| black_box(simulate_sizes(&p.trace, &set, &[PageSize::K4])));
         });
         g.bench_function(format!("{name}/8k"), |b| {
-            b.iter(|| black_box(simulate(&p.trace, &set, PageSize::K8)));
+            b.iter(|| black_box(simulate_sizes(&p.trace, &set, &[PageSize::K8])));
         });
     }
     g.finish();
@@ -58,7 +58,7 @@ fn bench_engine_vs_naive_ablation(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation/engine_vs_naive");
     g.sample_size(10);
     g.bench_function(format!("one_pass_all_{nsessions}_sessions"), |b| {
-        b.iter(|| black_box(simulate(&p.trace, &set, PageSize::K4)));
+        b.iter(|| black_box(simulate_sizes(&p.trace, &set, &[PageSize::K4])));
     });
     g.bench_function("naive_single_session", |b| {
         b.iter(|| black_box(simulate_naive(&p.trace, &set, PageSize::K4, 0)));

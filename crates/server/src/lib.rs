@@ -21,7 +21,8 @@
 //! * [`json`] — the deterministic JSON reader/writer those layers
 //!   share (insertion-ordered objects, canonical number text), which
 //!   is what lets the service promise *byte-identical* responses for
-//!   cached and fresh answers.
+//!   cached and fresh answers. It lives in `databp-telemetry`, which
+//!   reads and writes snapshots with it, and is re-exported here.
 //!
 //! The crate also owns the `repro` binary (the CLI grew a service mode;
 //! the binary moved here so it can drive both the harness and the
@@ -31,13 +32,13 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod json;
 pub mod proto;
 pub mod request;
 pub mod scheduler;
 pub mod server;
 
 pub use cache::{BuildGuard, Lookup, TraceCache};
+pub use databp_telemetry::json;
 pub use proto::serve;
 pub use request::{
     body_for, query_body_for, CacheStatus, Request, RequestLine, Response, ResponseBody,

@@ -217,6 +217,23 @@ not json at all\n\
     }
 
     #[test]
+    fn deep_nesting_fails_its_line_and_the_stream_goes_on() {
+        let server = Server::start(ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        });
+        let input = format!("{}\n{{\"stats\":true}}\n", "[".repeat(200_000));
+        let out = run_lines(&server, &input);
+        assert_eq!(out.len(), 2);
+        let bad = json::parse(&out[0]).unwrap();
+        assert_eq!(bad.get("ok").and_then(|v| v.as_bool()), Some(false));
+        let st = json::parse(&out[1]).unwrap();
+        assert_eq!(st.get("ok").and_then(|v| v.as_bool()), Some(true));
+        assert_eq!(st.get("id").and_then(|v| v.as_str()), Some("stats"));
+        server.shutdown();
+    }
+
+    #[test]
     fn blank_lines_are_skipped() {
         let server = Server::start(ServerConfig {
             workers: 1,

@@ -8,7 +8,7 @@ use databp_trace::{ObjectDesc, Trace};
 use std::collections::HashMap;
 
 /// A set of sessions indexed for O(1) object→sessions lookup, the
-/// [`Membership`] implementation fed to [`databp_sim::simulate`].
+/// [`Membership`] implementation fed to [`databp_sim::simulate_sizes`].
 #[derive(Debug, Clone)]
 pub struct SessionSet {
     sessions: Vec<Session>,

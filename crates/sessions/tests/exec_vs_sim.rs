@@ -10,7 +10,7 @@ use databp_core::{CodePatch, NativeHardware, TrapPatch, VirtualMemory};
 use databp_machine::{Machine, PageSize, StopReason};
 use databp_models::Counts;
 use databp_sessions::{enumerate_sessions, SessionPlan, SessionSet};
-use databp_sim::simulate;
+use databp_sim::simulate_sizes;
 use databp_tinyc::{compile, Compiled, Options};
 use databp_trace::{Trace, Tracer};
 
@@ -85,8 +85,8 @@ fn executable_counts_equal_simulated_counts_for_every_session() {
         sessions.len()
     );
     let set = SessionSet::new(sessions.clone(), &plain.debug, &trace);
-    let sim4: Vec<Counts> = simulate(&trace, &set, PageSize::K4);
-    let sim8: Vec<Counts> = simulate(&trace, &set, PageSize::K8);
+    let sim4: Vec<Counts> = simulate_sizes(&trace, &set, &[PageSize::K4]).remove(0);
+    let sim8: Vec<Counts> = simulate_sizes(&trace, &set, &[PageSize::K8]).remove(0);
 
     for (i, &session) in sessions.iter().enumerate() {
         let plan = SessionPlan::new(session, &plain.debug);
@@ -184,7 +184,7 @@ fn modeled_overhead_agrees_between_paths() {
     let trace = build_trace(&plain);
     let sessions = enumerate_sessions(&plain.debug, &trace);
     let set = SessionSet::new(sessions.clone(), &plain.debug, &trace);
-    let sim4 = simulate(&trace, &set, PageSize::K4);
+    let sim4 = simulate_sizes(&trace, &set, &[PageSize::K4]).remove(0);
     let t = TimingVars::default();
 
     // Pick the busiest session by hits.

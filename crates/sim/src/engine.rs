@@ -80,8 +80,8 @@
 //! The engine core ([`EngineCore`]) is event-driven — it has no
 //! dependency on a materialized [`Trace`] — which is what lets the
 //! streaming pipeline (`crate::stream`) replay batches concurrently with
-//! trace generation. [`simulate`] / [`simulate_fused`] /
-//! [`simulate_sizes`] remain the materialized-trace entry points.
+//! trace generation. [`simulate_sizes`] remains the materialized-trace
+//! entry point.
 
 use crate::membership::{Membership, SessionLanes};
 use crate::slots::SlotList;
@@ -691,29 +691,6 @@ impl EngineCore {
             .collect()
     }
 }
-/// Replays `trace` once, producing per-session counting variables at the
-/// given page size.
-///
-/// Sessions are identified by index (`0..membership.count()`); see
-/// [`Membership`]. `MonitorMissσ` is derived as
-/// `total writes − MonitorHitσ`, because the software strategies check
-/// every traced write for the whole run.
-pub fn simulate<M: Membership>(trace: &Trace, membership: &M, page_size: PageSize) -> Vec<Counts> {
-    simulate_sizes(trace, membership, &[page_size])
-        .pop()
-        .expect("one page size in, one counts vector out")
-}
-
-/// The fused dual-page-size replay: one trace walk, counts at both
-/// 4 KiB and 8 KiB — exactly the pair the paper's VM-4K / VM-8K columns
-/// need, at roughly the cost of a single-size replay.
-pub fn simulate_fused<M: Membership>(trace: &Trace, membership: &M) -> (Vec<Counts>, Vec<Counts>) {
-    let mut both = simulate_sizes(trace, membership, &[PageSize::K4, PageSize::K8]);
-    let c8 = both.pop().expect("8K counts");
-    let c4 = both.pop().expect("4K counts");
-    (c4, c8)
-}
-
 /// Replays `trace` once, producing per-session counting variables for
 /// **each** page size in `sizes` (result `[i]` corresponds to
 /// `sizes[i]`; duplicates and any ordering are fine — the engine sorts
@@ -784,7 +761,7 @@ mod tests {
             },
             write(0x1000, 0x1004), // after removal: plain miss
         ]);
-        let c = simulate(&trace, &m, PageSize::K4);
+        let c = simulate_sizes(&trace, &m, &[PageSize::K4]).remove(0);
         assert_eq!(c.len(), 1);
         assert_eq!(c[0].hit, 1);
         assert_eq!(c[0].miss, 3);
@@ -808,8 +785,8 @@ mod tests {
             write(0x1800, 0x1804), // same 4K page and same 8K page
             write(0x0800, 0x0804), // different 4K page, same 8K page
         ]);
-        let c4 = simulate(&trace, &m, PageSize::K4);
-        let c8 = simulate(&trace, &m, PageSize::K8);
+        let c4 = simulate_sizes(&trace, &m, &[PageSize::K4]).remove(0);
+        let c8 = simulate_sizes(&trace, &m, &[PageSize::K8]).remove(0);
         assert_eq!(c4[0].vm_active_page_miss, 1);
         assert_eq!(c8[0].vm_active_page_miss, 2);
         assert_eq!(c4[0].hit, 0);
@@ -849,9 +826,15 @@ mod tests {
                 ea: 0x2004,
             },
         ]);
-        let (c4, c8) = simulate_fused(&trace, &m);
-        assert_eq!(c4, simulate(&trace, &m, PageSize::K4));
-        assert_eq!(c8, simulate(&trace, &m, PageSize::K8));
+        let fused = simulate_sizes(&trace, &m, &[PageSize::K4, PageSize::K8]);
+        assert_eq!(
+            fused[0],
+            simulate_sizes(&trace, &m, &[PageSize::K4]).remove(0)
+        );
+        assert_eq!(
+            fused[1],
+            simulate_sizes(&trace, &m, &[PageSize::K8]).remove(0)
+        );
     }
 
     #[test]
@@ -882,7 +865,11 @@ mod tests {
         let ladder = [PageSize::K4, PageSize::K8, PageSize::K16, PageSize::K32];
         let fused = simulate_sizes(&trace, &m, &ladder);
         for (k, &ps) in ladder.iter().enumerate() {
-            assert_eq!(fused[k], simulate(&trace, &m, ps), "size {ps}");
+            assert_eq!(
+                fused[k],
+                simulate_sizes(&trace, &m, &[ps]).remove(0),
+                "size {ps}"
+            );
         }
         // Order and duplicates in the request don't change the results.
         let shuffled = [PageSize::K32, PageSize::K4, PageSize::K4, PageSize::K16];
@@ -909,7 +896,7 @@ mod tests {
             },
             write(0x1000, 0x1008), // straddles both objects
         ]);
-        let c = simulate(&trace, &m, PageSize::K4);
+        let c = simulate_sizes(&trace, &m, &[PageSize::K4]).remove(0);
         assert_eq!(c[0].hit, 1, "session 0 hit once despite two member objects");
         assert_eq!(c[1].hit, 1);
     }
@@ -932,7 +919,7 @@ mod tests {
             // as a hit, not an APM.
             write(0x1000, 0x1004),
         ]);
-        let c = simulate(&trace, &m, PageSize::K4);
+        let c = simulate_sizes(&trace, &m, &[PageSize::K4]).remove(0);
         assert_eq!(c[0].hit, 1);
         assert_eq!(c[0].vm_active_page_miss, 0);
     }
@@ -960,7 +947,8 @@ mod tests {
             write(0x2100, 0x2104), // plain miss at 4K; APM at 8K? no —
                                    // 8K page 1 (0x2000-0x3fff) holds no monitor: plain miss.
         ]);
-        let (c4, c8) = simulate_fused(&trace, &m);
+        let fused = simulate_sizes(&trace, &m, &[PageSize::K4, PageSize::K8]);
+        let (c4, c8) = (&fused[0], &fused[1]);
         assert_eq!(c4[0].hit, 1);
         assert_eq!(c8[0].hit, 1);
         assert_eq!(c4[0].vm_active_page_miss, 1);
@@ -998,7 +986,7 @@ mod tests {
                 ea: 0x3040,
             },
         ]);
-        let c = simulate(&trace, &m, PageSize::K4);
+        let c = simulate_sizes(&trace, &m, &[PageSize::K4]).remove(0);
         assert_eq!(c[0].hit, 2);
         assert_eq!(c[0].install, 2);
         assert_eq!(c[0].remove, 2);
@@ -1034,7 +1022,7 @@ mod tests {
                 ea: 0xF004,
             },
         ]);
-        let c = simulate(&trace, &m, PageSize::K4);
+        let c = simulate_sizes(&trace, &m, &[PageSize::K4]).remove(0);
         assert_eq!(c[0].hit, 2);
         assert_eq!(c[0].install, 2);
         assert_eq!(c[0].remove, 2);
@@ -1057,7 +1045,7 @@ mod tests {
                 ea: 0x1004,
             },
         ]);
-        let c = simulate(&trace, &m, PageSize::K4);
+        let c = simulate_sizes(&trace, &m, &[PageSize::K4]).remove(0);
         assert_eq!(c[0].hit, 0);
         assert_eq!(c[0].miss, 1);
         assert_eq!(c[0].install, 0);
@@ -1091,7 +1079,7 @@ mod tests {
                 ea: 0x1008,
             },
         ]);
-        let c = simulate(&trace, &m, PageSize::K4);
+        let c = simulate_sizes(&trace, &m, &[PageSize::K4]).remove(0);
         assert_eq!(c[0].vm_protect, 1, "page protected once");
         assert_eq!(
             c[0].vm_unprotect, 1,
@@ -1121,7 +1109,7 @@ mod tests {
             write(0x1800, 0x1804), // APM for all four sessions
             write(0x5000, 0x5004), // plain miss everywhere
         ]);
-        let c = simulate(&trace, &m, PageSize::K4);
+        let c = simulate_sizes(&trace, &m, &[PageSize::K4]).remove(0);
         for s in [0usize, 63, 64] {
             assert_eq!(c[s].hit, 1, "session {s}");
             assert_eq!(c[s].vm_active_page_miss, 1, "session {s}");
@@ -1170,7 +1158,7 @@ mod tests {
             },
             write(0x1000, 0x1004), // reinstalled: hit again
         ]);
-        let c = simulate(&trace, &m, PageSize::K4);
+        let c = simulate_sizes(&trace, &m, &[PageSize::K4]).remove(0);
         assert_eq!(c[0].hit, 4);
         assert_eq!(c[0].miss, 1);
         assert_eq!(c[1].vm_active_page_miss, 0);
@@ -1188,7 +1176,7 @@ mod tests {
             ba: 0x1000,
             ea: 0x1004,
         }]);
-        let out = simulate_fused(&trace, &m);
+        let out = simulate_sizes(&trace, &m, &[PageSize::K4, PageSize::K8]);
         assert_send(&out);
     }
 }

@@ -16,9 +16,9 @@
 //! `VMActivePageMissσ`) are kept per page size inside the engine, so one
 //! replay yields a whole *page-size ladder* of columns — any set of
 //! power-of-two sizes, derived from a single page index at the smallest
-//! size. [`simulate`] remains for single-size callers,
-//! [`simulate_fused`] for the paper's VM-4K / VM-8K pair, and
-//! [`simulate_sizes`] for arbitrary ladders. Hot paths use a vendored
+//! size. [`simulate_sizes`] is the one materialized-trace entry point:
+//! pass `&[PageSize::K4, PageSize::K8]` for the paper's VM-4K / VM-8K
+//! pair, or any ladder. Hot paths use a vendored
 //! FxHash hasher and inline per-page slot lists (see `slots.rs`).
 //!
 //! The engine is event-driven: [`StreamingReplay`] accepts event
@@ -36,7 +36,7 @@ mod slots;
 mod soundness;
 mod stream;
 
-pub use engine::{simulate, simulate_fused, simulate_sizes};
+pub use engine::simulate_sizes;
 pub use membership::{Membership, SessionLanes, TableMembership};
 pub use naive::simulate_naive;
 pub use pushdown::{scan_query, ScanError, ScanStats};

@@ -176,7 +176,7 @@ pub(crate) mod testgen {
 mod tests {
     use super::testgen::arb_trace_and_membership;
     use super::*;
-    use crate::engine::{simulate, simulate_sizes};
+    use crate::engine::simulate_sizes;
     use proptest::prelude::*;
 
     proptest! {
@@ -187,7 +187,7 @@ mod tests {
         #[test]
         fn engine_matches_naive_oracle((trace, membership) in arb_trace_and_membership()) {
             for ps in [PageSize::K4, PageSize::K8] {
-                let fast = simulate(&trace, &membership, ps);
+                let fast = simulate_sizes(&trace, &membership, &[ps]).remove(0);
                 for s in 0..membership.count() as u32 {
                     let slow = simulate_naive(&trace, &membership, ps, s);
                     prop_assert_eq!(
@@ -198,11 +198,13 @@ mod tests {
             }
         }
 
-        /// The fused dual-page-size replay is bit-identical to the
-        /// naive oracle run separately at 4K and at 8K.
+        /// The fused dual-page-size replay (one walk at `[4K, 8K]`) is
+        /// bit-identical to the naive oracle run separately at 4K and
+        /// at 8K.
         #[test]
         fn fused_engine_matches_naive_oracle((trace, membership) in arb_trace_and_membership()) {
-            let (c4, c8) = crate::engine::simulate_fused(&trace, &membership);
+            let fused = simulate_sizes(&trace, &membership, &[PageSize::K4, PageSize::K8]);
+            let (c4, c8) = (&fused[0], &fused[1]);
             for s in 0..membership.count() as u32 {
                 let slow4 = simulate_naive(&trace, &membership, PageSize::K4, s);
                 let slow8 = simulate_naive(&trace, &membership, PageSize::K8, s);
@@ -217,12 +219,13 @@ mod tests {
             }
         }
 
-        /// The generalized ladder at `[4K, 8K]` is byte-identical to the
-        /// dedicated dual-size entry point.
+        /// The fused `[4K, 8K]` ladder is byte-identical to two
+        /// single-size replays.
         #[test]
         fn ladder_pair_matches_fused((trace, membership) in arb_trace_and_membership()) {
             let ladder = simulate_sizes(&trace, &membership, &[PageSize::K4, PageSize::K8]);
-            let (c4, c8) = crate::engine::simulate_fused(&trace, &membership);
+            let c4 = simulate_sizes(&trace, &membership, &[PageSize::K4]).remove(0);
+            let c8 = simulate_sizes(&trace, &membership, &[PageSize::K8]).remove(0);
             prop_assert_eq!(&ladder[0], &c4);
             prop_assert_eq!(&ladder[1], &c8);
         }

@@ -13,7 +13,9 @@
 //!
 //! — registered by `&'static str` name in a [`Registry`], with a process
 //! [`global()`] registry, and [`Snapshot`] export to text, CSV, and JSON
-//! (the latter two parse back for round-trip tests).
+//! (the latter two parse back for round-trip tests). The [`json`]
+//! module is the workspace's one JSON reader/writer; the replay
+//! service's wire protocol uses it too.
 //!
 //! # Overhead policy
 //!
@@ -44,6 +46,7 @@
 //! databp_telemetry::set_enabled(false);
 //! ```
 
+pub mod json;
 mod metric;
 mod registry;
 mod snapshot;

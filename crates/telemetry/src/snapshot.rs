@@ -4,7 +4,9 @@
 //! serve as a benchmark trajectory across PRs without any serde
 //! dependency.
 
+use crate::json::{self, Value};
 use std::fmt;
+use std::str::FromStr;
 
 /// One histogram bucket: inclusive upper bound (`None` = `+inf`) and
 /// the number of recorded values that landed in it.
@@ -255,7 +257,7 @@ impl Snapshot {
             }
             out.push_str(&format!(
                 "\n    {}: {{\"count\": {}, \"sum\": {}, \"buckets\": [",
-                json_string(&h.name),
+                json::quote(&h.name),
                 h.count,
                 h.sum
             ));
@@ -280,7 +282,7 @@ impl Snapshot {
             }
             out.push_str(&format!(
                 "\n    {}: {{\"count\": {}, \"total_ns\": {}}}",
-                json_string(&s.name),
+                json::quote(&s.name),
                 s.count,
                 s.total_ns
             ));
@@ -300,24 +302,26 @@ impl Snapshot {
     /// Parse a snapshot back from [`Snapshot::to_json`] output (accepts
     /// any standard JSON with the same shape).
     pub fn from_json(text: &str) -> Result<Snapshot, ParseError> {
-        let value = json::parse(text)?;
-        let root = value.as_object("top level")?;
+        let value = json::parse(text).map_err(ParseError::new)?;
+        let root = object(&value, "top level")?;
         let mut snap = Snapshot::default();
         for (key, section) in root {
             match key.as_str() {
                 "counters" => {
-                    for (n, v) in section.as_object("counters")? {
-                        snap.counters.push((n.clone(), v.as_u64("counter value")?));
+                    for (n, v) in object(section, "counters")? {
+                        snap.counters
+                            .push((n.clone(), number(v, "counter value", "u64")?));
                     }
                 }
                 "gauges" => {
-                    for (n, v) in section.as_object("gauges")? {
-                        snap.gauges.push((n.clone(), v.as_i64("gauge value")?));
+                    for (n, v) in object(section, "gauges")? {
+                        snap.gauges
+                            .push((n.clone(), number(v, "gauge value", "i64")?));
                     }
                 }
                 "histograms" => {
-                    for (n, v) in section.as_object("histograms")? {
-                        let fields = v.as_object("histogram")?;
+                    for (n, v) in object(section, "histograms")? {
+                        let fields = object(v, "histogram")?;
                         let mut h = HistogramSnapshot {
                             name: n.clone(),
                             count: 0,
@@ -326,24 +330,24 @@ impl Snapshot {
                         };
                         for (f, fv) in fields {
                             match f.as_str() {
-                                "count" => h.count = fv.as_u64("histogram count")?,
-                                "sum" => h.sum = fv.as_u64("histogram sum")?,
+                                "count" => h.count = number(fv, "histogram count", "u64")?,
+                                "sum" => h.sum = number(fv, "histogram sum", "u64")?,
                                 "buckets" => {
-                                    for pair in fv.as_array("buckets")? {
-                                        let pair = pair.as_array("bucket pair")?;
+                                    for pair in array(fv, "buckets")? {
+                                        let pair = array(pair, "bucket pair")?;
                                         if pair.len() != 2 {
                                             return Err(ParseError::new(
                                                 "bucket pair must have 2 elements",
                                             ));
                                         }
-                                        let le = if pair[0].is_null() {
+                                        let le = if pair[0] == Value::Null {
                                             None
                                         } else {
-                                            Some(pair[0].as_u64("bucket bound")?)
+                                            Some(number(&pair[0], "bucket bound", "u64")?)
                                         };
                                         h.buckets.push(BucketSnapshot {
                                             le,
-                                            count: pair[1].as_u64("bucket count")?,
+                                            count: number(&pair[1], "bucket count", "u64")?,
                                         });
                                     }
                                 }
@@ -358,8 +362,8 @@ impl Snapshot {
                     }
                 }
                 "spans" => {
-                    for (n, v) in section.as_object("spans")? {
-                        let fields = v.as_object("span")?;
+                    for (n, v) in object(section, "spans")? {
+                        let fields = object(v, "span")?;
                         let mut s = SpanSnapshot {
                             name: n.clone(),
                             count: 0,
@@ -367,8 +371,8 @@ impl Snapshot {
                         };
                         for (f, fv) in fields {
                             match f.as_str() {
-                                "count" => s.count = fv.as_u64("span count")?,
-                                "total_ns" => s.total_ns = fv.as_u64("span total_ns")?,
+                                "count" => s.count = number(fv, "span count", "u64")?,
+                                "total_ns" => s.total_ns = number(fv, "span total_ns", "u64")?,
                                 other => {
                                     return Err(ParseError::new(format!(
                                         "unknown span field {other:?}"
@@ -380,8 +384,9 @@ impl Snapshot {
                     }
                 }
                 "derived" => {
-                    for (n, v) in section.as_object("derived")? {
-                        snap.derived.push((n.clone(), v.as_f64("derived value")?));
+                    for (n, v) in object(section, "derived")? {
+                        snap.derived
+                            .push((n.clone(), number(v, "derived value", "f64")?));
                     }
                 }
                 other => return Err(ParseError::new(format!("unknown section {other:?}"))),
@@ -396,29 +401,34 @@ fn push_json_map<V: Copy>(out: &mut String, entries: &[(String, V)], fmt: impl F
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!("\n    {}: {}", json_string(n), fmt(*v)));
+        out.push_str(&format!("\n    {}: {}", json::quote(n), fmt(*v)));
     }
     if !entries.is_empty() {
         out.push_str("\n  ");
     }
 }
 
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+/// `v` as a JSON object, or a [`ParseError`] naming `what`.
+fn object<'a>(v: &'a Value, what: &str) -> Result<&'a [(String, Value)], ParseError> {
+    v.as_object()
+        .ok_or_else(|| ParseError::new(format!("{what}: expected object")))
+}
+
+/// `v` as a JSON array, or a [`ParseError`] naming `what`.
+fn array<'a>(v: &'a Value, what: &str) -> Result<&'a [Value], ParseError> {
+    v.as_array()
+        .ok_or_else(|| ParseError::new(format!("{what}: expected array")))
+}
+
+/// `v`'s number text parsed as `T` (named `ty` in the error), or a
+/// [`ParseError`] naming `what`.
+fn number<T: FromStr>(v: &Value, what: &str, ty: &str) -> Result<T, ParseError> {
+    match v {
+        Value::Num(raw) => raw
+            .parse()
+            .map_err(|_| ParseError::new(format!("{what}: expected {ty}, got {raw}"))),
+        _ => Err(ParseError::new(format!("{what}: expected number"))),
     }
-    out.push('"');
-    out
 }
 
 /// Error from [`Snapshot::from_json`] / [`Snapshot::from_csv`].
@@ -442,240 +452,3 @@ impl fmt::Display for ParseError {
 }
 
 impl std::error::Error for ParseError {}
-
-/// Minimal recursive-descent JSON reader. Numbers keep their raw text
-/// so `u64`s round-trip without `f64` precision loss.
-mod json {
-    use super::ParseError;
-
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        Null,
-        Bool(bool),
-        Num(String),
-        Str(String),
-        Arr(Vec<Value>),
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        pub fn is_null(&self) -> bool {
-            matches!(self, Value::Null)
-        }
-
-        pub fn as_object(&self, what: &str) -> Result<&[(String, Value)], ParseError> {
-            match self {
-                Value::Obj(entries) => Ok(entries),
-                _ => Err(err(format!("{what}: expected object"))),
-            }
-        }
-
-        pub fn as_array(&self, what: &str) -> Result<&[Value], ParseError> {
-            match self {
-                Value::Arr(items) => Ok(items),
-                _ => Err(err(format!("{what}: expected array"))),
-            }
-        }
-
-        pub fn as_u64(&self, what: &str) -> Result<u64, ParseError> {
-            match self {
-                Value::Num(raw) => raw
-                    .parse()
-                    .map_err(|_| err(format!("{what}: expected u64, got {raw}"))),
-                _ => Err(err(format!("{what}: expected number"))),
-            }
-        }
-
-        pub fn as_i64(&self, what: &str) -> Result<i64, ParseError> {
-            match self {
-                Value::Num(raw) => raw
-                    .parse()
-                    .map_err(|_| err(format!("{what}: expected i64, got {raw}"))),
-                _ => Err(err(format!("{what}: expected number"))),
-            }
-        }
-
-        pub fn as_f64(&self, what: &str) -> Result<f64, ParseError> {
-            match self {
-                Value::Num(raw) => raw
-                    .parse()
-                    .map_err(|_| err(format!("{what}: expected f64, got {raw}"))),
-                _ => Err(err(format!("{what}: expected number"))),
-            }
-        }
-    }
-
-    fn err(message: impl Into<String>) -> ParseError {
-        ParseError {
-            message: message.into(),
-        }
-    }
-
-    pub fn parse(text: &str) -> Result<Value, ParseError> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(err(format!("trailing data at byte {pos}")));
-        }
-        Ok(value)
-    }
-
-    fn skip_ws(bytes: &[u8], pos: &mut usize) {
-        while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-
-    fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), ParseError> {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&c) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(err(format!("expected {:?} at byte {}", c as char, *pos)))
-        }
-    }
-
-    fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b'{') => parse_object(bytes, pos),
-            Some(b'[') => parse_array(bytes, pos),
-            Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
-            Some(b't') => parse_keyword(bytes, pos, "true", Value::Bool(true)),
-            Some(b'f') => parse_keyword(bytes, pos, "false", Value::Bool(false)),
-            Some(b'n') => parse_keyword(bytes, pos, "null", Value::Null),
-            Some(_) => parse_number(bytes, pos),
-            None => Err(err("unexpected end of input")),
-        }
-    }
-
-    fn parse_keyword(
-        bytes: &[u8],
-        pos: &mut usize,
-        word: &str,
-        value: Value,
-    ) -> Result<Value, ParseError> {
-        if bytes[*pos..].starts_with(word.as_bytes()) {
-            *pos += word.len();
-            Ok(value)
-        } else {
-            Err(err(format!("bad keyword at byte {}", *pos)))
-        }
-    }
-
-    fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
-        let start = *pos;
-        while *pos < bytes.len()
-            && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        {
-            *pos += 1;
-        }
-        if start == *pos {
-            return Err(err(format!("expected value at byte {start}")));
-        }
-        let raw = std::str::from_utf8(&bytes[start..*pos]).expect("ascii");
-        raw.parse::<f64>()
-            .map_err(|_| err(format!("bad number {raw:?}")))?;
-        Ok(Value::Num(raw.to_string()))
-    }
-
-    fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
-        expect(bytes, pos, b'"')?;
-        let mut out = String::new();
-        loop {
-            match bytes.get(*pos) {
-                None => return Err(err("unterminated string")),
-                Some(b'"') => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    *pos += 1;
-                    match bytes.get(*pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = bytes
-                                .get(*pos + 1..*pos + 5)
-                                .ok_or_else(|| err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| err("bad \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| err("bad \\u escape"))?;
-                            out.push(
-                                char::from_u32(code).ok_or_else(|| err("bad \\u code point"))?,
-                            );
-                            *pos += 4;
-                        }
-                        _ => return Err(err("bad escape")),
-                    }
-                    *pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = std::str::from_utf8(&bytes[*pos..])
-                        .map_err(|_| err("invalid utf-8 in string"))?;
-                    let c = rest.chars().next().expect("nonempty");
-                    out.push(c);
-                    *pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
-        expect(bytes, pos, b'[')?;
-        let mut items = Vec::new();
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(parse_value(bytes, pos)?);
-            skip_ws(bytes, pos);
-            match bytes.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(err(format!("expected ',' or ']' at byte {}", *pos))),
-            }
-        }
-    }
-
-    fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
-        expect(bytes, pos, b'{')?;
-        let mut entries = Vec::new();
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Value::Obj(entries));
-        }
-        loop {
-            skip_ws(bytes, pos);
-            let key = parse_string(bytes, pos)?;
-            expect(bytes, pos, b':')?;
-            let value = parse_value(bytes, pos)?;
-            entries.push((key, value));
-            skip_ws(bytes, pos);
-            match bytes.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Value::Obj(entries));
-                }
-                _ => return Err(err(format!("expected ',' or '}}' at byte {}", *pos))),
-            }
-        }
-    }
-}

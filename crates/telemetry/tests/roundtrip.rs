@@ -82,6 +82,9 @@ fn malformed_inputs_error_cleanly() {
     assert!(Snapshot::from_json("{\"counters\": [1]}").is_err());
     assert!(Snapshot::from_json("{\"counters\": {\"x\": -1}}").is_err());
     assert!(Snapshot::from_json("{\"bogus\": {}}").is_err());
+    // Hostile nesting is a parse error, not a stack overflow.
+    let deep = format!("{{\"counters\": {}", "[".repeat(200_000));
+    assert!(Snapshot::from_json(&deep).is_err());
     assert!(Snapshot::from_csv("kind,name,field,value\nbogus,x,value,1").is_err());
     assert!(Snapshot::from_csv("kind,name,field,value\ncounter,x,value,notanum").is_err());
 }

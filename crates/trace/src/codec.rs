@@ -1,44 +1,24 @@
-//! Binary and text codecs for program event traces.
+//! The text trace codec and the error type every trace codec shares.
 //!
-//! The binary format is little-endian with a magic header, suitable for
-//! archiving phase-1 output so phase-2 experiments rerun without
-//! re-executing the workload. The text format is a line-oriented mirror
-//! for inspection and diffing.
+//! The binary form of a trace is DBPT columnar (`columnar.rs`); the
+//! text format is a line-oriented mirror of it for inspection and
+//! diffing:
 //!
 //! ```text
-//! binary: "DBPT" u32:version u64:count { u8:tag ... }*
-//! text:   one record per line, e.g.
-//!           I G3 00100000 00100004
-//!           W 00010004 00100000 00100004 0000002a 00000000
-//!           E 17            (enter)
-//!           X 17            (exit)
+//! I G3 00100000 00100004
+//! W 00010004 00100000 00100004 0000002a 00000000
+//! E 17            (enter)
+//! X 17            (exit)
 //! ```
 //!
-//! Row version 3 extends the `W` record with the written value and the
-//! overwritten (old) value; version-1 traces still decode, with both
-//! fields zero-filled. Text `W` lines accept the legacy 3-field form the
-//! same way.
+//! `W` lines carry pc, ba, ea, the written value and the overwritten
+//! (old) value; the legacy 3-field form still decodes, with both values
+//! zero-filled.
 
 use crate::event::{Event, ObjectDesc, Trace};
 use std::error::Error;
 use std::fmt;
-use std::io::{self, Read, Write};
-
-const MAGIC: &[u8; 4] = b"DBPT";
-/// Legacy row version: `W` records carry pc/ba/ea only.
-const VERSION_V1: u32 = 1;
-/// Current row version: `W` records additionally carry value/old.
-const VERSION: u32 = 3;
-
-const TAG_INSTALL: u8 = 1;
-const TAG_REMOVE: u8 = 2;
-const TAG_WRITE: u8 = 3;
-const TAG_ENTER: u8 = 4;
-const TAG_EXIT: u8 = 5;
-
-const OBJ_GLOBAL: u8 = 1;
-const OBJ_LOCAL: u8 = 2;
-const OBJ_HEAP: u8 = 3;
+use std::io::{self, Write};
 
 /// Errors from reading a serialized trace.
 #[derive(Debug)]
@@ -72,173 +52,6 @@ impl From<io::Error> for TraceCodecError {
     fn from(e: io::Error) -> Self {
         TraceCodecError::Io(e)
     }
-}
-
-fn write_obj(w: &mut impl Write, obj: &ObjectDesc) -> io::Result<()> {
-    match *obj {
-        ObjectDesc::Global { id } => {
-            w.write_all(&[OBJ_GLOBAL])?;
-            w.write_all(&id.to_le_bytes())
-        }
-        ObjectDesc::Local { func, var } => {
-            w.write_all(&[OBJ_LOCAL])?;
-            w.write_all(&func.to_le_bytes())?;
-            w.write_all(&var.to_le_bytes())
-        }
-        ObjectDesc::Heap { seq } => {
-            w.write_all(&[OBJ_HEAP])?;
-            w.write_all(&seq.to_le_bytes())
-        }
-    }
-}
-
-fn read_u8(r: &mut impl Read) -> io::Result<u8> {
-    let mut b = [0u8; 1];
-    r.read_exact(&mut b)?;
-    Ok(b[0])
-}
-
-fn read_u16(r: &mut impl Read) -> io::Result<u16> {
-    let mut b = [0u8; 2];
-    r.read_exact(&mut b)?;
-    Ok(u16::from_le_bytes(b))
-}
-
-fn read_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64(r: &mut impl Read) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn read_obj(r: &mut impl Read) -> Result<ObjectDesc, TraceCodecError> {
-    Ok(match read_u8(r)? {
-        OBJ_GLOBAL => ObjectDesc::Global { id: read_u32(r)? },
-        OBJ_LOCAL => ObjectDesc::Local {
-            func: read_u16(r)?,
-            var: read_u16(r)?,
-        },
-        OBJ_HEAP => ObjectDesc::Heap { seq: read_u32(r)? },
-        t => return Err(TraceCodecError::Malformed(format!("object tag {t}"))),
-    })
-}
-
-/// Serializes `trace` in the binary format.
-///
-/// # Errors
-///
-/// Propagates I/O errors from `w`.
-pub fn write_binary(trace: &Trace, w: &mut impl Write) -> io::Result<()> {
-    w.write_all(MAGIC)?;
-    w.write_all(&VERSION.to_le_bytes())?;
-    w.write_all(&(trace.len() as u64).to_le_bytes())?;
-    for e in trace.events() {
-        match *e {
-            Event::Install { obj, ba, ea } => {
-                w.write_all(&[TAG_INSTALL])?;
-                write_obj(w, &obj)?;
-                w.write_all(&ba.to_le_bytes())?;
-                w.write_all(&ea.to_le_bytes())?;
-            }
-            Event::Remove { obj, ba, ea } => {
-                w.write_all(&[TAG_REMOVE])?;
-                write_obj(w, &obj)?;
-                w.write_all(&ba.to_le_bytes())?;
-                w.write_all(&ea.to_le_bytes())?;
-            }
-            Event::Write {
-                pc,
-                ba,
-                ea,
-                value,
-                old,
-            } => {
-                w.write_all(&[TAG_WRITE])?;
-                w.write_all(&pc.to_le_bytes())?;
-                w.write_all(&ba.to_le_bytes())?;
-                w.write_all(&ea.to_le_bytes())?;
-                w.write_all(&value.to_le_bytes())?;
-                w.write_all(&old.to_le_bytes())?;
-            }
-            Event::Enter { func } => {
-                w.write_all(&[TAG_ENTER])?;
-                w.write_all(&func.to_le_bytes())?;
-            }
-            Event::Exit { func } => {
-                w.write_all(&[TAG_EXIT])?;
-                w.write_all(&func.to_le_bytes())?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Deserializes a binary trace.
-///
-/// # Errors
-///
-/// [`TraceCodecError::Malformed`] on bad magic/version/tags;
-/// [`TraceCodecError::Io`] on underlying read failure (including
-/// truncation).
-pub fn read_binary(r: &mut impl Read) -> Result<Trace, TraceCodecError> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(TraceCodecError::Malformed("bad magic".into()));
-    }
-    let version = read_u32(r)?;
-    if version != VERSION_V1 && version != VERSION {
-        return Err(TraceCodecError::Malformed(format!(
-            "unsupported version {version}"
-        )));
-    }
-    let count = read_u64(r)?;
-    let mut trace = Trace::new();
-    for _ in 0..count {
-        let e = match read_u8(r)? {
-            TAG_INSTALL => {
-                let obj = read_obj(r)?;
-                Event::Install {
-                    obj,
-                    ba: read_u32(r)?,
-                    ea: read_u32(r)?,
-                }
-            }
-            TAG_REMOVE => {
-                let obj = read_obj(r)?;
-                Event::Remove {
-                    obj,
-                    ba: read_u32(r)?,
-                    ea: read_u32(r)?,
-                }
-            }
-            TAG_WRITE => {
-                let (pc, ba, ea) = (read_u32(r)?, read_u32(r)?, read_u32(r)?);
-                let (value, old) = if version >= VERSION {
-                    (read_u32(r)?, read_u32(r)?)
-                } else {
-                    (0, 0)
-                };
-                Event::Write {
-                    pc,
-                    ba,
-                    ea,
-                    value,
-                    old,
-                }
-            }
-            TAG_ENTER => Event::Enter { func: read_u16(r)? },
-            TAG_EXIT => Event::Exit { func: read_u16(r)? },
-            t => return Err(TraceCodecError::Malformed(format!("event tag {t}"))),
-        };
-        trace.push(e);
-    }
-    Ok(trace)
 }
 
 /// Serializes `trace` in the line-oriented text format.
@@ -406,15 +219,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_roundtrip() {
-        let t = sample_trace();
-        let mut buf = Vec::new();
-        write_binary(&t, &mut buf).unwrap();
-        let back = read_binary(&mut buf.as_slice()).unwrap();
-        assert_eq!(t, back);
-    }
-
-    #[test]
     fn text_roundtrip() {
         let t = sample_trace();
         let mut buf = Vec::new();
@@ -422,30 +226,6 @@ mod tests {
         let text = String::from_utf8(buf).unwrap();
         let back = read_text(&text).unwrap();
         assert_eq!(t, back);
-    }
-
-    #[test]
-    fn legacy_v1_binary_decodes_with_zero_filled_values() {
-        // Hand-build a version-1 stream: one 3-field W record.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&VERSION_V1.to_le_bytes());
-        buf.extend_from_slice(&1u64.to_le_bytes());
-        buf.push(TAG_WRITE);
-        buf.extend_from_slice(&0x1_0010u32.to_le_bytes());
-        buf.extend_from_slice(&0x10_0000u32.to_le_bytes());
-        buf.extend_from_slice(&0x10_0004u32.to_le_bytes());
-        let t = read_binary(&mut buf.as_slice()).unwrap();
-        assert_eq!(
-            t.events(),
-            &[Event::Write {
-                pc: 0x1_0010,
-                ba: 0x10_0000,
-                ea: 0x10_0004,
-                value: 0,
-                old: 0,
-            }]
-        );
     }
 
     #[test]
@@ -472,23 +252,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_rejects_bad_magic() {
-        let err = read_binary(&mut &b"NOPE\0\0\0\0"[..]).unwrap_err();
-        assert!(matches!(err, TraceCodecError::Malformed(_)));
-    }
-
-    #[test]
-    fn binary_rejects_truncation() {
-        let mut buf = Vec::new();
-        write_binary(&sample_trace(), &mut buf).unwrap();
-        buf.truncate(buf.len() - 3);
-        assert!(matches!(
-            read_binary(&mut buf.as_slice()),
-            Err(TraceCodecError::Io(_))
-        ));
-    }
-
-    #[test]
     fn text_rejects_garbage() {
         assert!(read_text("Q 1 2 3").is_err());
         assert!(read_text("W zz 0 0").is_err());
@@ -500,9 +263,6 @@ mod tests {
     #[test]
     fn empty_trace_roundtrips() {
         let t = Trace::new();
-        let mut buf = Vec::new();
-        write_binary(&t, &mut buf).unwrap();
-        assert_eq!(read_binary(&mut buf.as_slice()).unwrap(), t);
         let mut tb = Vec::new();
         write_text(&t, &mut tb).unwrap();
         assert_eq!(read_text(std::str::from_utf8(&tb).unwrap()).unwrap(), t);

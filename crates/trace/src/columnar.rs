@@ -1,8 +1,8 @@
-//! DBPT v2 — the columnar, delta-encoded binary trace format.
+//! DBPT — the columnar, delta-encoded binary trace format, and the only
+//! binary form of a trace (text, in `codec.rs`, is for debugging).
 //!
-//! Where v1 interleaves tag and payload per event, v2 splits events into
-//! per-field *columns* packed in fixed-size blocks, which is what the
-//! persistent trace store serializes:
+//! Events are split into per-field *columns* packed in fixed-size
+//! blocks, which is what the persistent trace store serializes:
 //!
 //! ```text
 //! "DBPT" u32:4
@@ -1208,24 +1208,6 @@ fn addr_pair(ba: i64, len: i64) -> Result<(u32, u32), TraceCodecError> {
     }
 }
 
-/// Reads a serialized trace of any binary version from an in-memory
-/// arena: row-oriented (v1/v3) or columnar (v2/v4). Row files carry no
-/// meta blob, so it comes back empty.
-///
-/// # Errors
-///
-/// As [`read_columnar`] / [`crate::read_binary`].
-pub fn read_any(bytes: &[u8]) -> Result<(Trace, Vec<u8>), TraceCodecError> {
-    if bytes.len() >= 8 && &bytes[..4] == MAGIC {
-        let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-        if version == VERSION2 || version == VERSION4 {
-            return read_columnar(bytes);
-        }
-    }
-    let trace = crate::codec::read_binary(&mut &bytes[..])?;
-    Ok((trace, Vec::new()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1347,6 +1329,16 @@ mod tests {
             read_columnar(&buf),
             Err(TraceCodecError::Malformed(_))
         ));
+        // The retired row format shares the magic; version 1 and 3 row
+        // files fail on their version word.
+        for v in [1, 3] {
+            buf[4] = v;
+            let err = read_columnar(&buf).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("malformed trace: unsupported version {v}")
+            );
+        }
     }
 
     #[test]
@@ -1542,52 +1534,10 @@ mod tests {
                 old: 0,
             }]
         );
-        // read_any dispatches legacy columnar files too.
-        let (t2, _) = read_any(&buf).unwrap();
-        assert_eq!(t, t2);
         // The lazy reader opens legacy files as well — no zones, no
         // write-value columns.
         let r = ColumnarReader::open(&buf).unwrap();
         assert!(!r.has_write_values());
         assert!(r.zones().is_none());
-    }
-
-    #[test]
-    fn read_any_dispatches_on_version() {
-        let t = sample_trace();
-        let mut v1 = Vec::new();
-        crate::codec::write_binary(&t, &mut v1).unwrap();
-        let mut v2 = Vec::new();
-        write_columnar(&t, b"m", &mut v2).unwrap();
-        let (t1, m1) = read_any(&v1).unwrap();
-        let (t2, m2) = read_any(&v2).unwrap();
-        assert_eq!(t1, t);
-        assert_eq!(t2, t);
-        assert!(m1.is_empty());
-        assert_eq!(m2, b"m");
-    }
-
-    #[test]
-    fn v2_is_smaller_than_v1_on_write_heavy_traces() {
-        let mut t = Trace::new();
-        for i in 0..10_000u32 {
-            t.push(Event::Write {
-                pc: 0x200,
-                ba: 0x1000 + (i % 64) * 4,
-                ea: 0x1004 + (i % 64) * 4,
-                value: i % 100,
-                old: (i % 100).wrapping_sub(1),
-            });
-        }
-        let mut v1 = Vec::new();
-        crate::codec::write_binary(&t, &mut v1).unwrap();
-        let mut v2 = Vec::new();
-        write_columnar(&t, &[], &mut v2).unwrap();
-        assert!(
-            v2.len() * 2 < v1.len(),
-            "v2 ({}) should be well under half of v1 ({})",
-            v2.len(),
-            v1.len()
-        );
     }
 }

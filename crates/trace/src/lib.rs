@@ -22,11 +22,11 @@
 //! * the streaming pipeline ([`batch_channel`], [`EventBatch`],
 //!   [`StreamSink`]) — a bounded SPSC channel that lets phase 2 replay
 //!   events while phase 1 is still generating them;
-//! * binary and text codecs ([`write_binary`] / [`read_binary`],
-//!   [`write_text`] / [`read_text`]), plus the columnar DBPT v2 format
-//!   ([`write_columnar`] / [`read_columnar`] / [`read_any`]) and the
-//!   persistent [`TraceStore`] built on it. V2 files optionally carry a
-//!   per-block [`ZoneMap`] trailer that [`ColumnarReader`] validates
+//! * the columnar DBPT format ([`write_columnar`] / [`read_columnar`]),
+//!   the only binary trace form, and the persistent [`TraceStore`]
+//!   built on it, plus a text codec for debugging ([`write_text`] /
+//!   [`read_text`]). DBPT files optionally carry a per-block
+//!   [`ZoneMap`] trailer that [`ColumnarReader`] validates
 //!   and the query engine uses to skip blocks; the trailer is fully
 //!   backward/forward compatible — old files decode unchanged, and the
 //!   full-decode path skips the trailer without reading it.
@@ -51,10 +51,10 @@ mod store;
 mod stream;
 mod tracer;
 
-pub use codec::{read_binary, read_text, write_binary, write_text, TraceCodecError};
+pub use codec::{read_text, write_text, TraceCodecError};
 pub use columnar::{
-    read_any, read_columnar, write_columnar, write_columnar_with, BlockWrites, ColumnarReader,
-    RawBlock, WriteCols, WriteOpts, ZoneMap, BLOCK_EVENTS,
+    read_columnar, write_columnar, write_columnar_with, BlockWrites, ColumnarReader, RawBlock,
+    WriteCols, WriteOpts, ZoneMap, BLOCK_EVENTS,
 };
 pub use event::{Event, EventSink, ObjectDesc, Trace, TraceStats};
 pub use store::TraceStore;

@@ -1,6 +1,6 @@
-//! Property tests: arbitrary traces survive both codecs unchanged.
+//! Property tests: arbitrary traces survive the text codec unchanged.
 
-use databp_trace::{read_binary, read_text, write_binary, write_text, Event, ObjectDesc, Trace};
+use databp_trace::{read_text, write_text, Event, ObjectDesc, Trace};
 use proptest::prelude::*;
 
 fn any_obj() -> impl Strategy<Value = ObjectDesc> {
@@ -43,14 +43,6 @@ fn any_event() -> impl Strategy<Value = Event> {
 }
 
 proptest! {
-    #[test]
-    fn binary_roundtrip(events in prop::collection::vec(any_event(), 0..300)) {
-        let t = Trace::from_events(events);
-        let mut buf = Vec::new();
-        write_binary(&t, &mut buf).unwrap();
-        prop_assert_eq!(read_binary(&mut buf.as_slice()).unwrap(), t);
-    }
-
     #[test]
     fn text_roundtrip(events in prop::collection::vec(any_event(), 0..300)) {
         let t = Trace::from_events(events);

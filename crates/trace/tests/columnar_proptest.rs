@@ -13,8 +13,8 @@
 //! "no zones" while leaving the decoded trace intact.
 
 use databp_trace::{
-    read_any, read_columnar, write_columnar, write_columnar_with, ColumnarReader, Event,
-    ObjectDesc, Trace, WriteOpts,
+    read_columnar, write_columnar, write_columnar_with, ColumnarReader, Event, ObjectDesc, Trace,
+    WriteOpts,
 };
 use proptest::prelude::*;
 
@@ -190,6 +190,5 @@ proptest! {
             buf[i] ^= val;
         }
         let _ = read_columnar(&buf);
-        let _ = read_any(&buf);
     }
 }

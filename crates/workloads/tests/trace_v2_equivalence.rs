@@ -1,37 +1,24 @@
-//! Pins the columnar DBPT v2 codec against the row-oriented v1 codec
-//! on **real** traces — every bundled workload (Table 1 set plus the
-//! benchmark corpus) rather than the synthetic property-test traces in
-//! `databp-trace`. A trace that survives v1 encode → v1 decode → v2
-//! encode → v2 decode unchanged is exactly the `repro trace convert`
-//! path, so this is the lossless-conversion guarantee the CLI relies
-//! on.
+//! Pins the columnar DBPT codec on **real** traces — every bundled
+//! workload (Table 1 set plus the benchmark corpus) rather than the
+//! synthetic property-test traces in `databp-trace`. A trace that
+//! survives DBPT encode → decode unchanged, meta blob included, is
+//! exactly what the trace store, the server cache and `repro trace
+//! convert` rely on.
 
-use databp_trace::{read_any, read_binary, write_binary, write_columnar};
+use databp_trace::{read_columnar, write_columnar};
 use databp_workloads::{prepare, Workload};
 
 #[test]
-fn v1_to_v2_conversion_is_lossless_on_all_bundled_workloads() {
+fn dbpt_round_trip_is_lossless_on_all_bundled_workloads() {
     for w in Workload::all().into_iter().chain(Workload::bench()) {
         let w = w.scaled_down();
         let p = prepare(&w).expect("workload runs");
         assert!(!p.trace.is_empty(), "{}: empty trace", w.name);
 
-        // v1 round trip (the legacy on-disk form)…
-        let mut v1 = Vec::new();
-        write_binary(&p.trace, &mut v1).expect("v1 encode");
-        let from_v1 = read_binary(&mut v1.as_slice()).expect("v1 decode");
-        assert_eq!(from_v1, p.trace, "{}: v1 round trip diverged", w.name);
-
-        // …converted to v2 (what `repro trace convert` does)…
-        let mut v2 = Vec::new();
-        write_columnar(&from_v1, b"converted", &mut v2).expect("v2 encode");
-        let (from_v2, meta) = read_any(&v2).expect("v2 decode");
-        assert_eq!(from_v2, p.trace, "{}: v1->v2 conversion diverged", w.name);
+        let mut bytes = Vec::new();
+        write_columnar(&p.trace, b"converted", &mut bytes).expect("DBPT encode");
+        let (back, meta) = read_columnar(&bytes).expect("DBPT decode");
+        assert_eq!(back, p.trace, "{}: DBPT round trip diverged", w.name);
         assert_eq!(meta, b"converted");
-
-        // …and `read_any` serves both formats from their magic bytes.
-        let (any_v1, v1_meta) = read_any(&v1).expect("read_any on v1");
-        assert_eq!(any_v1, p.trace);
-        assert!(v1_meta.is_empty(), "v1 has no meta slot");
     }
 }
