@@ -120,8 +120,8 @@ pub fn analyze_writes(hir: &Hir, debug: &DebugInfo) -> WriteSafety {
     solver.solve();
     let facts: Vec<&ssa::SiteFact> = ssa.flat_sites().collect();
     // SSA enumerates sites in the code generator's emission order
-    // (pinned by tinyc's site-alignment tests); fall back to the
-    // syntactic summaries if the counts ever disagree.
+    // (pinned on every bundled workload); should the counts ever
+    // disagree, no fact can be attached and every site is unprovable.
     let aligned = facts.len() == debug.store_sites.len();
     let (mut pcs, mut chk_pcs, mut masks, mut dead) =
         (Vec::new(), Vec::new(), Vec::new(), Vec::new());
@@ -138,7 +138,7 @@ pub fn analyze_writes(hir: &Hir, debug: &DebugInfo) -> WriteSafety {
             let width_mask = if site.len == 1 { 0xff } else { u32::MAX };
             value_consts.push(facts[i].value_const.map(|v| v as u32 & width_mask));
         } else {
-            masks.push(solver.eval(site.func, &site.addr));
+            masks.push(0);
             dead.push(false);
             value_consts.push(None);
         }

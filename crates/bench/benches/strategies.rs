@@ -90,7 +90,7 @@ fn bench_strategies(c: &mut Criterion) {
             let mut m = Machine::new();
             m.load(&cp_opt.program);
             black_box(
-                CodePatch::with_loopopt()
+                CodePatch::default()
                     .run(&mut m, &cp_opt.debug, &plan, 10_000_000)
                     .unwrap(),
             )
@@ -106,7 +106,7 @@ fn bench_strategies(c: &mut Criterion) {
         .unwrap();
     let mut m = Machine::new();
     m.load(&cp_opt.program);
-    let opt = CodePatch::with_loopopt()
+    let opt = CodePatch::default()
         .run(&mut m, &cp_opt.debug, &plan, 10_000_000)
         .unwrap();
     println!(

@@ -1207,6 +1207,18 @@ impl WriterMap {
         WriterMap { starts }
     }
 
+    /// The map of a compiled program's functions (their entry pcs and
+    /// ids).
+    pub fn from_debug(debug: &databp_tinyc::DebugInfo) -> Self {
+        WriterMap::new(
+            debug
+                .functions
+                .iter()
+                .enumerate()
+                .map(|(id, f)| (f.entry_pc, id as u16)),
+        )
+    }
+
     /// The function containing `pc`, or [`NO_WRITER`].
     pub fn writer_of(&self, pc: u32) -> u16 {
         let idx = self.starts.partition_point(|&(entry, _)| entry <= pc);

@@ -23,11 +23,12 @@ use std::sync::Arc;
 /// Every check costs one `SoftwareLookupτ`; no kernel transition ever
 /// happens, which is the entire performance argument.
 ///
-/// With [`CodePatch::loopopt`] (and a program compiled with
-/// [`databp_tinyc::Options::codepatch_loopopt`]) the Section 9
-/// optimization is active: a loop's *preliminary check* runs once in the
-/// preheader; while it misses, body checks on the same loop-invariant
-/// target skip their lookups ([`StrategyReport::skipped_lookups`]).
+/// Programs compiled with [`databp_tinyc::Options::codepatch_loopopt`]
+/// carry the Section 9 groups ([`DebugInfo::loopopts`]): a loop's
+/// *preliminary check* runs once in the preheader; while it misses, body
+/// checks on the same loop-invariant target skip their lookups
+/// ([`StrategyReport::skipped_lookups`]). The build decides: the groups
+/// are honored whenever present.
 ///
 /// With [`CodePatch::with_staticopt`] the static write-safety pass from
 /// `databp-analysis` is consulted instead: checks whose store provably
@@ -40,14 +41,12 @@ use std::sync::Arc;
 /// Programs compiled with [`databp_tinyc::Options::codepatch_ssa`]
 /// additionally carry SSA-planned hoist groups ([`DebugInfo::hoists`]):
 /// one preheader guard dominating a loop's invariant store targets —
-/// including stores through never-reassigned pointers the Section 9
-/// syntactic pass cannot see. These are honored whenever present
+/// including stores through never-reassigned pointers, which Section 9
+/// leaves out. These too are honored whenever present
 /// ([`StrategyReport::hoisted_lookups`]); monitor installs re-arm every
-/// group so a mid-loop install is never missed.
+/// SSA group so a mid-loop install is never missed.
 #[derive(Debug, Clone, Default)]
 pub struct CodePatch {
-    /// Enable the Section 9 loop-invariant preliminary checks.
-    pub loopopt: bool,
     /// Static write-safety elision: checks classified provably safe for
     /// the plan's class pay no lookup.
     pub staticopt: Option<Arc<WriteSafety>>,
@@ -64,14 +63,6 @@ pub struct CodePatch {
 }
 
 impl CodePatch {
-    /// CodePatch with the loop optimization enabled.
-    pub fn with_loopopt() -> Self {
-        CodePatch {
-            loopopt: true,
-            ..CodePatch::default()
-        }
-    }
-
     /// CodePatch with static write-safety elision. `safety` must be the
     /// analysis of the *same CodePatch build* this strategy will run
     /// (its `chk` pcs are matched against stops).
@@ -136,13 +127,7 @@ impl CodePatch {
                 }
             }
         }
-        let writers = WriterMap::new(
-            debug
-                .functions
-                .iter()
-                .enumerate()
-                .map(|(id, f)| (f.entry_pc, id as u16)),
-        );
+        let writers = WriterMap::from_debug(debug);
         let mut mech = CpMech {
             opts: self.clone(),
             wms: Wms::new(),
@@ -176,7 +161,7 @@ struct CpMech {
     /// Body check pc -> loop-group index.
     body: HashMap<u32, usize>,
     /// Whether each loop group's preliminary check hit. Section 9
-    /// (`loopopt`) groups first, then SSA hoist groups.
+    /// ([`DebugInfo::loopopts`]) groups first, then SSA hoist groups.
     armed: Vec<bool>,
     /// First SSA hoist group in `armed` (groups at or past this index
     /// count as [`StrategyReport::hoisted_lookups`] and re-arm on
@@ -210,22 +195,17 @@ impl Mechanism for CpMech {
                 "CodePatch strategy requires a program compiled with Options::codepatch"
             );
         }
-        let mut groups: Vec<&databp_tinyc::LoopOptInfo> = Vec::new();
-        if self.opts.loopopt {
-            groups.extend(debug.loopopts.iter());
-        }
-        // SSA hoist groups are honored whenever the build carries them:
-        // the preheader guards are already in the code, so skipping the
+        // Hoist groups are honored whenever the build carries them: the
+        // preheader guards are already in the code, so skipping the
         // dominated body checks is always licensed.
-        self.hoist_base = groups.len();
-        groups.extend(debug.hoists.iter());
-        for (idx, l) in groups.iter().enumerate() {
+        self.hoist_base = debug.loopopts.len();
+        for (idx, l) in debug.loopopts.iter().chain(&debug.hoists).enumerate() {
             self.preheader.insert(l.preheader_pc, idx);
             for &pc in &l.body_pcs {
                 self.body.insert(pc, idx);
             }
         }
-        self.armed = vec![false; groups.len()];
+        self.armed = vec![false; debug.loopopts.len() + debug.hoists.len()];
         Ok(())
     }
 
@@ -406,7 +386,7 @@ mod tests {
     fn loopopt_elides_lookups_for_unmonitored_invariant_targets() {
         let (mut m, debug) = load(SRC, &Options::codepatch_loopopt());
         // Monitor nothing: every loop body check on g and i is disarmed.
-        let rep = CodePatch::with_loopopt()
+        let rep = CodePatch::default()
             .run(&mut m, &debug, &NoMonitors, 10_000_000)
             .unwrap();
         assert!(
@@ -430,7 +410,7 @@ mod tests {
             globals: vec![0],
             ..RangePlan::default()
         };
-        let rep = CodePatch::with_loopopt()
+        let rep = CodePatch::default()
             .run(&mut m, &debug, &plan, 10_000_000)
             .unwrap();
         // All ten writes to g must still notify: the preheader armed the
@@ -448,7 +428,7 @@ mod tests {
             globals: vec![0],
             ..RangePlan::default()
         };
-        let rep = CodePatch::with_loopopt()
+        let rep = CodePatch::default()
             .run(&mut m, &debug, &plan, 10_000_000)
             .unwrap();
         let model = databp_models::cp_loopopt_overhead(

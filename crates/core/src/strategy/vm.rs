@@ -117,13 +117,7 @@ impl VirtualMemory {
         predicate: Option<CompiledPredicate>,
         max_steps: u64,
     ) -> Result<StrategyReport, MachineError> {
-        let writers = WriterMap::new(
-            debug
-                .functions
-                .iter()
-                .enumerate()
-                .map(|(id, f)| (f.entry_pc, id as u16)),
-        );
+        let writers = WriterMap::from_debug(debug);
         let mut mech = VmMech {
             opts: *self,
             wms: Wms::new(),

@@ -90,14 +90,7 @@ impl Debugger {
             heap: true,
             chk: true,
         });
-        let writers = WriterMap::new(
-            compiled
-                .debug
-                .functions
-                .iter()
-                .enumerate()
-                .map(|(id, f)| (f.entry_pc, id as u16)),
-        );
+        let writers = WriterMap::from_debug(&compiled.debug);
         Ok(Debugger {
             machine,
             compiled,

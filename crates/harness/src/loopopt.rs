@@ -46,12 +46,7 @@ fn run_cp(
     let mut m = Machine::new();
     m.load(&build.program);
     m.set_args(r.prepared.workload.args.clone());
-    let strat = if optimized {
-        CodePatch::with_loopopt()
-    } else {
-        CodePatch::default()
-    };
-    strat
+    CodePatch::default()
         .run(
             &mut m,
             &build.debug,

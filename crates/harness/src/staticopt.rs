@@ -88,8 +88,7 @@ fn run_cp(
     m.load(&build.program);
     m.set_args(r.prepared.workload.args.clone());
     let strat = match variant {
-        Variant::Plain => CodePatch::default(),
-        Variant::LoopOpt => CodePatch::with_loopopt(),
+        Variant::Plain | Variant::LoopOpt => CodePatch::default(),
         Variant::StaticOpt => CodePatch::with_staticopt(Arc::clone(safety)),
     };
     strat

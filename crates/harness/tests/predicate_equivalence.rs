@@ -255,16 +255,6 @@ fn trace_of(plain: &Compiled) -> Trace {
     tracer.finish()
 }
 
-fn writer_map(debug: &DebugInfo) -> WriterMap {
-    WriterMap::new(
-        debug
-            .functions
-            .iter()
-            .enumerate()
-            .map(|(id, f)| (f.entry_pc, id as u16)),
-    )
-}
-
 fn addrs(rep: &databp_core::StrategyReport) -> Vec<(u32, u32)> {
     rep.notifications.iter().map(|n| (n.ba, n.ea)).collect()
 }
@@ -378,7 +368,7 @@ proptest! {
             &q,
             trace.events(),
             |n| debug.func_id(n),
-            writer_map(debug),
+            WriterMap::from_debug(debug),
         )
         .expect("query runs");
 
@@ -386,7 +376,7 @@ proptest! {
             .expect("query parses")
             .compile(|n| debug.func_id(n))
             .expect("query compiles");
-        let mut online = QueryEngine::new(compiled, writer_map(debug));
+        let mut online = QueryEngine::new(compiled, WriterMap::from_debug(debug));
         for chunk in trace.events().chunks(batch) {
             online.feed(chunk);
         }

@@ -910,13 +910,7 @@ fn query_cmd(args: &[String], opts: &Opts) -> ExitCode {
             }
         };
         let debug = &prepared.plain.debug;
-        let writers = databp_core::WriterMap::new(
-            debug
-                .functions
-                .iter()
-                .enumerate()
-                .map(|(id, f)| (f.entry_pc, id as u16)),
-        );
+        let writers = databp_core::WriterMap::from_debug(debug);
         let (result, stats) = match databp_sim::scan_query(
             prepared.columnar_bytes(),
             qsrc,
@@ -1156,13 +1150,7 @@ fn perf(opts: &Opts) -> ExitCode {
             .scaled_down();
         let p = databp_workloads::prepare(&w).expect("workload runs");
         let debug = &p.plain.debug;
-        let writers = databp_core::WriterMap::new(
-            debug
-                .functions
-                .iter()
-                .enumerate()
-                .map(|(id, f)| (f.entry_pc, id as u16)),
-        );
+        let writers = databp_core::WriterMap::from_debug(debug);
         databp_sim::run_query(
             "count if value > 5",
             p.trace.events(),
@@ -1218,13 +1206,7 @@ fn perf(opts: &Opts) -> ExitCode {
         let mut events = 0u64;
         for p in &corpus {
             let debug = &p.plain.debug;
-            let writers = databp_core::WriterMap::new(
-                debug
-                    .functions
-                    .iter()
-                    .enumerate()
-                    .map(|(id, f)| (f.entry_pc, id as u16)),
-            );
+            let writers = databp_core::WriterMap::from_debug(debug);
             let bytes = p.columnar_bytes().clone();
             for q in QUERIES {
                 for _ in 0..REPS {

@@ -15,7 +15,9 @@
 //!   only after every earlier request has been answered, so a trailing
 //!   probe observes the whole session;
 //! * unparseable input → an immediate `ok: false` line (the service
-//!   keeps going; one bad line must not poison a pipe).
+//!   keeps going; one bad line must not poison a pipe). That includes
+//!   lines that are not UTF-8 and lines longer than [`MAX_LINE_BYTES`],
+//!   whose tail is skipped without being buffered.
 //!
 //! Responses are written eagerly: as soon as the front of the pending
 //! queue is ready it is flushed, so a slow request delays its
@@ -25,6 +27,10 @@ use std::io::{BufRead, Write};
 
 use crate::request::{Request, RequestLine, Response};
 use crate::server::{Server, ServerStats, Ticket};
+
+/// The longest request line accepted, in bytes (its `\n` excluded).
+/// Requests are under 1 KiB; a longer line is answered `ok: false`.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// One enqueued output slot, in input order.
 enum Pending {
@@ -46,18 +52,20 @@ enum Pending {
 /// never errors the stream — bad requests become `ok: false` lines).
 pub fn serve<R: BufRead, W: Write>(
     server: &Server,
-    input: R,
+    mut input: R,
     out: &mut W,
 ) -> std::io::Result<usize> {
     let mut pending: std::collections::VecDeque<Pending> = std::collections::VecDeque::new();
     let mut handled = 0usize;
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
+    let mut buf = Vec::new();
+    while let Some(line) = read_line(&mut input, &mut buf)? {
+        let parsed = match line {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => Request::parse_line(line),
+            Err(msg) => Err(msg),
+        };
         handled += 1;
-        let slot = match Request::parse_line(&line) {
+        let slot = match parsed {
             Ok(RequestLine::Stats) => Pending::Stats,
             Ok(RequestLine::Query(req)) => match server.submit(req) {
                 Ok(ticket) => Pending::Ticket(ticket),
@@ -72,6 +80,57 @@ pub fn serve<R: BufRead, W: Write>(
     }
     drain(server, &mut pending, out, true)?;
     Ok(handled)
+}
+
+/// Reads the next line into `buf` (without its `\n` or a trailing `\r`,
+/// as [`BufRead::lines`] strips them); `None` at end of input. Buffers at
+/// most [`MAX_LINE_BYTES`]: past that the rest of the line is consumed
+/// and dropped, and the line comes back as an error message, as does a
+/// line that is not UTF-8.
+fn read_line<'b, R: BufRead>(
+    input: &mut R,
+    buf: &'b mut Vec<u8>,
+) -> std::io::Result<Option<Result<&'b str, String>>> {
+    buf.clear();
+    let (mut read_any, mut overlong) = (false, false);
+    loop {
+        let avail = match input.fill_buf() {
+            Ok(avail) => avail,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if avail.is_empty() {
+            if !read_any {
+                return Ok(None);
+            }
+            break;
+        }
+        read_any = true;
+        let newline = avail.iter().position(|&b| b == b'\n');
+        let chunk = &avail[..newline.unwrap_or(avail.len())];
+        if buf.len() + chunk.len() > MAX_LINE_BYTES {
+            overlong = true;
+            buf.clear();
+        } else if !overlong {
+            buf.extend_from_slice(chunk);
+        }
+        let used = newline.map_or(avail.len(), |i| i + 1);
+        input.consume(used);
+        if newline.is_some() {
+            break;
+        }
+    }
+    if overlong {
+        return Ok(Some(Err(format!(
+            "request line longer than {MAX_LINE_BYTES} bytes"
+        ))));
+    }
+    if buf.last() == Some(&b'\r') {
+        buf.pop();
+    }
+    Ok(Some(std::str::from_utf8(buf).map_err(|_| {
+        "request line is not valid UTF-8".to_string()
+    })))
 }
 
 /// Writes ready responses from the front of the queue; when `block` is
@@ -231,6 +290,71 @@ not json at all\n\
         assert_eq!(st.get("ok").and_then(|v| v.as_bool()), Some(true));
         assert_eq!(st.get("id").and_then(|v| v.as_str()), Some("stats"));
         server.shutdown();
+    }
+
+    /// Sends `bad` and then a stats probe: the bad line gets one
+    /// `ok: false` answer and the probe is still answered.
+    fn bad_line_then_stats(bad: &[u8]) -> String {
+        let server = Server::start(ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        });
+        let mut input = bad.to_vec();
+        input.extend_from_slice(b"\n{\"stats\":true}\n");
+        let mut out = Vec::new();
+        assert_eq!(serve(&server, Cursor::new(input), &mut out).unwrap(), 2);
+        server.shutdown();
+        let out = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 2, "{out}");
+        let st = json::parse(lines[1]).unwrap();
+        assert_eq!(st.get("id").and_then(|v| v.as_str()), Some("stats"));
+        assert_eq!(st.get("ok").and_then(|v| v.as_bool()), Some(true));
+        let bad = json::parse(lines[0]).unwrap();
+        assert_eq!(bad.get("ok").and_then(|v| v.as_bool()), Some(false));
+        bad.get("error")
+            .and_then(|v| v.as_str())
+            .unwrap()
+            .to_string()
+    }
+
+    #[test]
+    fn non_utf8_line_fails_alone() {
+        assert_eq!(
+            bad_line_then_stats(b"\xff\xfe"),
+            "request line is not valid UTF-8"
+        );
+    }
+
+    #[test]
+    fn overlong_line_fails_alone() {
+        // Valid JSON that parses fine at any length, so only the bound
+        // can reject it.
+        let mut line = b"{\"stats\":true".to_vec();
+        line.resize(MAX_LINE_BYTES, b' ');
+        line.push(b'}');
+        assert_eq!(
+            bad_line_then_stats(&line),
+            "request line longer than 1048576 bytes"
+        );
+    }
+
+    #[test]
+    fn line_at_the_bound_is_served() {
+        let mut line = b"{\"stats\":true".to_vec();
+        // MAX_LINE_BYTES before the newline, `\r` included.
+        line.resize(MAX_LINE_BYTES - 2, b' ');
+        line.extend_from_slice(b"}\r\n");
+        let server = Server::start(ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        });
+        let mut out = Vec::new();
+        serve(&server, Cursor::new(line), &mut out).unwrap();
+        server.shutdown();
+        let out = String::from_utf8(out).unwrap();
+        assert_eq!(out.lines().count(), 1);
+        assert!(out.contains("\"ok\":true"), "{out}");
     }
 
     #[test]

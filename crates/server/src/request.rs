@@ -441,13 +441,7 @@ pub fn query_body_for(
 ) -> Result<ResponseBody, String> {
     let src = req.query.as_deref().unwrap_or_default();
     let debug = &results.prepared.plain.debug;
-    let writers = WriterMap::new(
-        debug
-            .functions
-            .iter()
-            .enumerate()
-            .map(|(id, f)| (f.entry_pc, id as u16)),
-    );
+    let writers = WriterMap::from_debug(debug);
     let bytes = results.prepared.columnar_bytes();
     let (result, _stats) =
         databp_sim::scan_query(bytes, src, |name| debug.func_id(name), &writers, jobs)

@@ -9,82 +9,68 @@
 //!
 //! With [`Options::codepatch`], every traced store is preceded by a `chk`
 //! of the same effective address — the paper's CodePatch instrumentation
-//! ("a minimum of two additional instructions" per write). With
-//! [`Options::loopopt`] additionally enabled, stores whose target is a
-//! loop-invariant scalar (a named local or global) get a *preliminary
-//! check* in the loop preheader (Section 9), recorded in
-//! [`DebugInfo::loopopts`] for the CodePatch strategy to exploit.
+//! ("a minimum of two additional instructions" per write). The two
+//! hoisting builds add *preliminary checks* in loop preheaders, planned
+//! by [`crate::ssa::hoist_plans`]: [`Options::codepatch_loopopt`] keeps
+//! the paper's Section 9 scope (loop-invariant named scalars) and records
+//! its groups in [`DebugInfo::loopopts`]; [`Options::codepatch_ssa`]
+//! emits every planned target, pointer targets included, into
+//! [`DebugInfo::hoists`].
 
-use crate::debuginfo::{
-    AddrDesc, DebugInfo, FuncInfo, GlobalInfo, LocalInfo, LoopOptInfo, StoreSiteInfo,
-    REGION_GLOBAL, REGION_HEAP, REGION_STACK,
-};
+use crate::debuginfo::{DebugInfo, FuncInfo, GlobalInfo, LocalInfo, LoopOptInfo, StoreSiteInfo};
 use crate::hir::{BinOp, Builtin, Expr, ExprKind, FuncDef, Hir, Stmt, UnOp};
+use crate::ssa::{HoistPlan, HoistTarget};
 use crate::types::align_up;
 use crate::Compiled;
 use databp_machine::{asm, Instr, Program, CODE_BASE, DATA_BASE};
 use std::collections::HashMap;
 
-/// Code generation options.
+/// Which build to generate: one of the five constructors below.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Options {
-    /// Insert a CodePatch `chk` before every traced store.
-    pub codepatch: bool,
-    /// Emit Section 9 loop-preheader preliminary checks (requires
-    /// `codepatch`; ignored otherwise).
-    pub loopopt: bool,
-    /// Emit a `nop` before every traced store instead of a `chk` — the
-    /// paper's Section 3.3 hybrid: padding that a *dynamic* code patcher
-    /// can overwrite with checks at run time. Ignored when `codepatch`
-    /// is set.
-    pub nop_padding: bool,
-    /// Emit SSA-planned preheader checks ([`crate::ssa::hoist_plans`]):
-    /// loop-invariant store targets — including stores through
-    /// never-reassigned promotable pointers — get one guard in the
-    /// preheader that licenses skipping the per-iteration checks it
-    /// dominates. Requires `codepatch`; ignored otherwise.
-    pub ssa_hoist: bool,
+pub struct Options(Build);
+
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Build {
+    #[default]
+    Plain,
+    CodePatch,
+    CodePatchLoopOpt,
+    CodePatchSsa,
+    NopPadding,
 }
 
 impl Options {
     /// Plain code, no instrumentation (NativeHardware / VirtualMemory /
     /// TrapPatch runs).
     pub fn plain() -> Self {
-        Options::default()
+        Options(Build::Plain)
     }
 
-    /// CodePatch instrumentation.
+    /// CodePatch instrumentation: a `chk` before every traced store.
     pub fn codepatch() -> Self {
-        Options {
-            codepatch: true,
-            ..Options::default()
-        }
+        Options(Build::CodePatch)
     }
 
-    /// CodePatch with the loop-invariant preliminary-check optimization.
+    /// CodePatch with the paper's Section 9 loop-invariant preliminary
+    /// checks for named scalar targets ([`DebugInfo::loopopts`]).
     pub fn codepatch_loopopt() -> Self {
-        Options {
-            codepatch: true,
-            loopopt: true,
-            ..Options::default()
-        }
+        Options(Build::CodePatchLoopOpt)
     }
 
-    /// CodePatch with SSA-planned dominator-based check hoisting.
+    /// CodePatch with SSA-planned dominator-based check hoisting:
+    /// loop-invariant store targets — including stores through
+    /// never-reassigned promotable pointers — get one guard in the
+    /// preheader that licenses skipping the per-iteration checks it
+    /// dominates ([`DebugInfo::hoists`]).
     pub fn codepatch_ssa() -> Self {
-        Options {
-            codepatch: true,
-            ssa_hoist: true,
-            ..Options::default()
-        }
+        Options(Build::CodePatchSsa)
     }
 
-    /// Nop padding for dynamic patching (Section 3.3's hybrid).
+    /// A `nop` before every traced store instead of a `chk` — the
+    /// paper's Section 3.3 hybrid: padding that a *dynamic* code patcher
+    /// can overwrite with checks at run time.
     pub fn nop_padding() -> Self {
-        Options {
-            nop_padding: true,
-            ..Options::default()
-        }
+        Options(Build::NopPadding)
     }
 }
 
@@ -109,14 +95,14 @@ enum StoreTarget {
     Local(u16),
     Global(u32),
     /// Store through local pointer `var` at constant byte offset — only
-    /// used by the SSA hoist planner ([`Options::ssa_hoist`]), which
-    /// guarantees the pointer is promotable and loop-invariant.
+    /// planned by [`Options::codepatch_ssa`], whose planner guarantees
+    /// the pointer is promotable and loop-invariant.
     Ptr(u16, i16),
 }
 
 struct Gen<'a> {
     hir: &'a Hir,
-    opts: Options,
+    build: Build,
     code: Vec<Instr>,
     func_entries: Vec<usize>,
     call_fixups: Vec<(usize, u16)>,
@@ -124,19 +110,18 @@ struct Gen<'a> {
     branch_fixups: Vec<(usize, usize)>,
     /// (break label, continue label) stack.
     loop_labels: Vec<(usize, usize)>,
-    /// Innermost-loop hoist registry: target -> loopopts index.
-    hoist_stack: Vec<HashMap<StoreTarget, usize>>,
-    /// SSA hoist plans per function, indexed by loop pre-order ordinal
-    /// (empty unless [`Options::ssa_hoist`]).
-    ssa_plans: Vec<Vec<crate::ssa::HoistPlan>>,
+    /// Hoist plans per function, indexed by loop pre-order ordinal
+    /// (empty unless the build hoists).
+    plans: Vec<Vec<HoistPlan>>,
     /// Pre-order ordinal of the next loop in the current function.
     loop_ordinal: usize,
-    /// Innermost-loop SSA hoist registry: target -> hoists index.
-    ssa_hoist_stack: Vec<HashMap<StoreTarget, usize>>,
+    /// Innermost-loop hoist registry: target -> `groups` index.
+    hoist_stack: Vec<HashMap<StoreTarget, usize>>,
     untraced: Vec<u32>,
     pads: Vec<u32>,
-    loopopts: Vec<LoopOptInfo>,
-    hoists: Vec<LoopOptInfo>,
+    /// Emitted hoist groups: [`DebugInfo::loopopts`] in a Section 9
+    /// build, [`DebugInfo::hoists`] in an SSA build.
+    groups: Vec<LoopOptInfo>,
     traced_store_count: u32,
     store_sites: Vec<StoreSiteInfo>,
     cur: Option<&'a FuncDef>,
@@ -146,27 +131,34 @@ struct Gen<'a> {
 
 /// Generates machine code and debug info for a checked program.
 pub fn generate(hir: &Hir, opts: &Options) -> Compiled {
+    let plans = match opts.0 {
+        Build::CodePatchSsa => crate::ssa::hoist_plans(hir),
+        Build::CodePatchLoopOpt => {
+            // Section 9 hoists named scalars only.
+            let mut plans = crate::ssa::hoist_plans(hir);
+            for plan in plans.iter_mut().flatten() {
+                plan.targets
+                    .retain(|t| !matches!(t, HoistTarget::PtrLocal { .. }));
+            }
+            plans
+        }
+        Build::Plain | Build::CodePatch | Build::NopPadding => Vec::new(),
+    };
     let mut g = Gen {
         hir,
-        opts: *opts,
+        build: opts.0,
         code: Vec::new(),
         func_entries: vec![0; hir.funcs.len()],
         call_fixups: Vec::new(),
         labels: Vec::new(),
         branch_fixups: Vec::new(),
         loop_labels: Vec::new(),
-        hoist_stack: Vec::new(),
-        ssa_plans: if opts.codepatch && opts.ssa_hoist {
-            crate::ssa::hoist_plans(hir)
-        } else {
-            Vec::new()
-        },
+        plans,
         loop_ordinal: 0,
-        ssa_hoist_stack: Vec::new(),
+        hoist_stack: Vec::new(),
         untraced: Vec::new(),
         pads: Vec::new(),
-        loopopts: Vec::new(),
-        hoists: Vec::new(),
+        groups: Vec::new(),
         traced_store_count: 0,
         store_sites: Vec::new(),
         cur: None,
@@ -211,6 +203,10 @@ pub fn generate(hir: &Hir, opts: &Options) -> Compiled {
     }
 
     g.untraced.sort_unstable();
+    let (loopopts, hoists) = match g.build {
+        Build::CodePatchLoopOpt => (g.groups, Vec::new()),
+        _ => (Vec::new(), g.groups),
+    };
     let debug = DebugInfo {
         functions: hir
             .funcs
@@ -249,8 +245,8 @@ pub fn generate(hir: &Hir, opts: &Options) -> Compiled {
             .collect(),
         untraced_store_pcs: g.untraced,
         pad_pcs: g.pads,
-        loopopts: g.loopopts,
-        hoists: g.hoists,
+        loopopts,
+        hoists,
         data_size: hir.data_size,
         traced_store_count: g.traced_store_count,
         store_sites: g.store_sites,
@@ -343,7 +339,7 @@ impl<'a> Gen<'a> {
         for p in 0..f.params {
             let off = self.local_offset(p);
             let width = f.locals[p as usize].ty.access_width();
-            self.checked_store(A0 + p as u8, FP, off, width, None, AddrDesc::stack_slot());
+            self.checked_store(A0 + p as u8, FP, off, width, None);
         }
 
         self.epilogue = self.new_label();
@@ -426,97 +422,47 @@ impl<'a> Gen<'a> {
             self.expr(i, 0);
         }
 
-        // Section 9: preliminary checks for loop-invariant store targets.
-        let mut hoists = HashMap::new();
-        if self.opts.codepatch && self.opts.loopopt {
-            let mut targets = Vec::new();
-            collect_hoist_targets_stmts(body, &mut targets);
-            if let Some(c) = cond {
-                collect_hoist_targets_expr(c, &mut targets);
-            }
-            if let Some(st) = step {
-                collect_hoist_targets_expr(st, &mut targets);
-            }
-            targets.dedup();
-            for (target, width) in targets {
-                if hoists.contains_key(&target) {
-                    continue;
+        // Preliminary checks: one preheader `chk` per loop-invariant
+        // target licenses skipping the body checks it covers. `chk` never
+        // accesses memory, so guarding through a possibly-uninitialized
+        // pointer slot cannot fault.
+        let mut groups = HashMap::new();
+        let plan = self
+            .plans
+            .get_mut(self.cur_fid as usize)
+            .and_then(|per_loop| per_loop.get_mut(ordinal))
+            .map(std::mem::take);
+        for t in plan.into_iter().flat_map(|p| p.targets) {
+            let (target, pre_pc) = match t {
+                HoistTarget::Local { var, width } => {
+                    let pc = self.here_pc();
+                    let off = self.local_offset(var);
+                    self.emit(asm::chk(FP, off, width as u8));
+                    (StoreTarget::Local(var), pc)
                 }
-                let pre_pc = self.here_pc();
-                match target {
-                    StoreTarget::Local(i) => {
-                        let off = self.local_offset(i);
-                        self.emit(asm::chk(FP, off, width as u8));
-                    }
-                    StoreTarget::Global(gid) => {
-                        self.load_global_addr(AT, gid);
-                        // load_global_addr may emit 1 or 2 instructions;
-                        // the chk is the *next* word.
-                        let pc = self.here_pc();
-                        self.emit(asm::chk(AT, 0, width as u8));
-                        self.loopopts.push(LoopOptInfo {
-                            preheader_pc: pc,
-                            body_pcs: Vec::new(),
-                        });
-                        hoists.insert(target, self.loopopts.len() - 1);
-                        continue;
-                    }
-                    StoreTarget::Ptr(..) => {
-                        unreachable!("Section 9 discovery never yields pointer targets")
-                    }
+                HoistTarget::Global { gid, width } => {
+                    // load_global_addr may emit 1 or 2 instructions; the
+                    // chk is the *next* word.
+                    self.load_global_addr(AT, gid);
+                    let pc = self.here_pc();
+                    self.emit(asm::chk(AT, 0, width as u8));
+                    (StoreTarget::Global(gid), pc)
                 }
-                self.loopopts.push(LoopOptInfo {
-                    preheader_pc: pre_pc,
-                    body_pcs: Vec::new(),
-                });
-                hoists.insert(target, self.loopopts.len() - 1);
-            }
+                HoistTarget::PtrLocal { var, off, width } => {
+                    let poff = self.local_offset(var);
+                    self.emit(asm::lw(AT, FP, poff));
+                    let pc = self.here_pc();
+                    self.emit(asm::chk(AT, off, width as u8));
+                    (StoreTarget::Ptr(var, off), pc)
+                }
+            };
+            self.groups.push(LoopOptInfo {
+                preheader_pc: pre_pc,
+                body_pcs: Vec::new(),
+            });
+            groups.insert(target, self.groups.len() - 1);
         }
-        self.hoist_stack.push(hoists);
-
-        // SSA-planned preheader checks: one dominating `chk` per
-        // loop-invariant target licenses skipping the body checks it
-        // covers. `chk` never accesses memory, so guarding through a
-        // possibly-uninitialized pointer slot cannot fault.
-        let mut ssa_hoists = HashMap::new();
-        if self.opts.codepatch && self.opts.ssa_hoist {
-            let plan = self
-                .ssa_plans
-                .get(self.cur_fid as usize)
-                .and_then(|per_loop| per_loop.get(ordinal))
-                .cloned();
-            if let Some(plan) = plan {
-                for t in &plan.targets {
-                    let (target, pre_pc) = match *t {
-                        crate::ssa::HoistTarget::Local { var, width } => {
-                            let pc = self.here_pc();
-                            let off = self.local_offset(var);
-                            self.emit(asm::chk(FP, off, width as u8));
-                            (StoreTarget::Local(var), pc)
-                        }
-                        crate::ssa::HoistTarget::Global { gid, width } => {
-                            self.load_global_addr(AT, gid);
-                            let pc = self.here_pc();
-                            self.emit(asm::chk(AT, 0, width as u8));
-                            (StoreTarget::Global(gid), pc)
-                        }
-                        crate::ssa::HoistTarget::PtrLocal { var, off, width } => {
-                            let poff = self.local_offset(var);
-                            self.emit(asm::lw(AT, FP, poff));
-                            let pc = self.here_pc();
-                            self.emit(asm::chk(AT, off, width as u8));
-                            (StoreTarget::Ptr(var, off), pc)
-                        }
-                    };
-                    self.hoists.push(LoopOptInfo {
-                        preheader_pc: pre_pc,
-                        body_pcs: Vec::new(),
-                    });
-                    ssa_hoists.insert(target, self.hoists.len() - 1);
-                }
-            }
-        }
-        self.ssa_hoist_stack.push(ssa_hoists);
+        self.hoist_stack.push(groups);
 
         let lcond = self.new_label();
         let lstep = self.new_label();
@@ -535,7 +481,6 @@ impl<'a> Gen<'a> {
         }
         self.jump_to(lcond);
         self.bind(lend);
-        self.ssa_hoist_stack.pop();
         self.hoist_stack.pop();
     }
 
@@ -621,16 +566,15 @@ impl<'a> Gen<'a> {
             }
             ExprKind::Assign { addr, value } => {
                 let width = e.ty.access_width();
-                let desc = addr_desc(addr);
                 self.expr(value, depth);
                 match &addr.kind {
                     ExprKind::AddrLocal(i) => {
                         let off = self.local_offset(*i);
-                        self.checked_store(rd, FP, off, width, Some(StoreTarget::Local(*i)), desc);
+                        self.checked_store(rd, FP, off, width, Some(StoreTarget::Local(*i)));
                     }
                     ExprKind::AddrGlobal(g) => {
                         self.load_global_addr(AT, *g);
-                        self.checked_store(rd, AT, 0, width, Some(StoreTarget::Global(*g)), desc);
+                        self.checked_store(rd, AT, 0, width, Some(StoreTarget::Global(*g)));
                     }
                     ExprKind::Binary(BinOp::Add, base, off) if matches!(off.kind, ExprKind::Const(c) if (-32768..=32767).contains(&c)) =>
                     {
@@ -641,13 +585,13 @@ impl<'a> Gen<'a> {
                         let target = ptr_store_target(base, c);
                         self.expr(base, depth + 1);
                         let rbase = treg(depth + 1);
-                        self.checked_store(rd, rbase, c, width, target, desc);
+                        self.checked_store(rd, rbase, c, width, target);
                     }
                     _ => {
                         let target = ptr_store_target(addr, 0);
                         self.expr(addr, depth + 1);
                         let rbase = treg(depth + 1);
-                        self.checked_store(rd, rbase, 0, width, target, desc);
+                        self.checked_store(rd, rbase, 0, width, target);
                     }
                 }
             }
@@ -691,8 +635,10 @@ impl<'a> Gen<'a> {
         };
     }
 
-    /// Emits a traced store (optionally CodePatch-checked) of `rsrc` to
-    /// `off(rbase)`, recording the store site with its address summary.
+    /// Emits a traced store (CodePatch-checked or nop-padded, per the
+    /// build) of `rsrc` to `off(rbase)`, recording the store site and
+    /// registering its check with the innermost loop's hoist group for
+    /// `target`, if any.
     fn checked_store(
         &mut self,
         rsrc: u8,
@@ -700,33 +646,21 @@ impl<'a> Gen<'a> {
         off: i16,
         width: u32,
         target: Option<StoreTarget>,
-        desc: AddrDesc,
     ) {
-        if !self.opts.codepatch && self.opts.nop_padding {
-            self.pads.push(self.here_pc());
-            self.emit(asm::nop());
-        }
         let mut chk_pc = None;
-        if self.opts.codepatch {
-            let pc = self.here_pc();
-            chk_pc = Some(pc);
-            self.emit(asm::chk(rbase, off, width as u8));
-            if self.opts.loopopt {
-                if let Some(t) = target {
-                    if let Some(hoists) = self.hoist_stack.last() {
-                        if let Some(&idx) = hoists.get(&t) {
-                            self.loopopts[idx].body_pcs.push(pc);
-                        }
-                    }
-                }
+        match self.build {
+            Build::Plain => {}
+            Build::NopPadding => {
+                self.pads.push(self.here_pc());
+                self.emit(asm::nop());
             }
-            if self.opts.ssa_hoist {
-                if let Some(t) = target {
-                    if let Some(hoists) = self.ssa_hoist_stack.last() {
-                        if let Some(&idx) = hoists.get(&t) {
-                            self.hoists[idx].body_pcs.push(pc);
-                        }
-                    }
+            Build::CodePatch | Build::CodePatchLoopOpt | Build::CodePatchSsa => {
+                let pc = self.here_pc();
+                chk_pc = Some(pc);
+                self.emit(asm::chk(rbase, off, width as u8));
+                let group = target.and_then(|t| self.hoist_stack.last()?.get(&t).copied());
+                if let Some(idx) = group {
+                    self.groups[idx].body_pcs.push(pc);
                 }
             }
         }
@@ -736,7 +670,6 @@ impl<'a> Gen<'a> {
             chk_pc,
             func: self.cur_fid,
             len: width,
-            addr: desc,
         });
         match width {
             1 => self.emit(asm::sb(rsrc, rbase, off)),
@@ -803,47 +736,6 @@ fn load_instr(width: u32, rd: u8, rbase: u8, off: i16) -> Instr {
     }
 }
 
-/// Summarizes a store's address expression for the static write-safety
-/// pass: which regions the address is directly derived from, and which
-/// named scalars / function results feed it. Purely syntactic — the
-/// `databp-analysis` crate resolves the dependencies.
-fn addr_desc(e: &Expr) -> AddrDesc {
-    let mut d = AddrDesc::default();
-    fold_addr(e, &mut d);
-    d
-}
-
-fn fold_addr(e: &Expr, d: &mut AddrDesc) {
-    match &e.kind {
-        ExprKind::AddrLocal(_) => d.direct |= REGION_STACK,
-        ExprKind::AddrGlobal(_) => d.direct |= REGION_GLOBAL,
-        // Constants and boolean results carry no region: an address
-        // forged from them is REGION_NONE ("proves nothing"), never
-        // elided.
-        ExprKind::Const(_) | ExprKind::LogAnd(..) | ExprKind::LogOr(..) => {}
-        ExprKind::Binary(op, a, b) => match op {
-            BinOp::Lt | BinOp::Gt | BinOp::Le | BinOp::Ge | BinOp::Eq | BinOp::Ne => {}
-            _ => {
-                fold_addr(a, d);
-                fold_addr(b, d);
-            }
-        },
-        ExprKind::Load(inner) => match &inner.kind {
-            ExprKind::AddrLocal(v) => d.local_deps.push(*v),
-            ExprKind::AddrGlobal(g) => d.global_deps.push(*g),
-            _ => d.opaque = true,
-        },
-        ExprKind::Unary(_, a) | ExprKind::CastChar(a) => fold_addr(a, d),
-        ExprKind::Assign { value, .. } => fold_addr(value, d),
-        ExprKind::Call(fid, _) => d.call_deps.push(*fid),
-        ExprKind::Builtin(b, _) => match b {
-            Builtin::Malloc | Builtin::Realloc => d.direct |= REGION_HEAP,
-            Builtin::Arg => {}
-            _ => d.opaque = true,
-        },
-    }
-}
-
 /// Identifies a store through a named local pointer at constant offset
 /// `off` — the key the SSA hoist planner uses for `*p` / `p[k]` stores.
 /// `base` is the store's base-address expression (the full address for
@@ -855,51 +747,6 @@ fn ptr_store_target(base: &Expr, off: i16) -> Option<StoreTarget> {
             _ => None,
         },
         _ => None,
-    }
-}
-
-// ---- Section 9 hoist-target discovery ----
-
-fn collect_hoist_targets_stmts(stmts: &[Stmt], out: &mut Vec<(StoreTarget, u32)>) {
-    for s in stmts {
-        match s {
-            Stmt::Expr(e) => collect_hoist_targets_expr(e, out),
-            Stmt::If(c, t, e) => {
-                collect_hoist_targets_expr(c, out);
-                collect_hoist_targets_stmts(t, out);
-                collect_hoist_targets_stmts(e, out);
-            }
-            // Nested loops hoist into their own preheaders.
-            Stmt::While(..) | Stmt::For(..) => {}
-            Stmt::Return(Some(e)) => collect_hoist_targets_expr(e, out),
-            Stmt::Return(None) | Stmt::Break | Stmt::Continue => {}
-        }
-    }
-}
-
-fn collect_hoist_targets_expr(e: &Expr, out: &mut Vec<(StoreTarget, u32)>) {
-    match &e.kind {
-        ExprKind::Assign { addr, value } => {
-            match addr.kind {
-                ExprKind::AddrLocal(i) => out.push((StoreTarget::Local(i), e.ty.access_width())),
-                ExprKind::AddrGlobal(g) => out.push((StoreTarget::Global(g), e.ty.access_width())),
-                _ => collect_hoist_targets_expr(addr, out),
-            }
-            collect_hoist_targets_expr(value, out);
-        }
-        ExprKind::Load(a) | ExprKind::Unary(_, a) | ExprKind::CastChar(a) => {
-            collect_hoist_targets_expr(a, out)
-        }
-        ExprKind::Binary(_, a, b) | ExprKind::LogAnd(a, b) | ExprKind::LogOr(a, b) => {
-            collect_hoist_targets_expr(a, out);
-            collect_hoist_targets_expr(b, out);
-        }
-        ExprKind::Call(_, args) | ExprKind::Builtin(_, args) => {
-            for a in args {
-                collect_hoist_targets_expr(a, out);
-            }
-        }
-        ExprKind::Const(_) | ExprKind::AddrLocal(_) | ExprKind::AddrGlobal(_) => {}
     }
 }
 
@@ -1284,10 +1131,10 @@ mod tests {
     #[test]
     fn store_sites_cover_every_traced_store() {
         let hir = lower(SITES_SRC).unwrap();
-        for opts in [
-            Options::plain(),
-            Options::codepatch(),
-            Options::nop_padding(),
+        for (opts, checked) in [
+            (Options::plain(), false),
+            (Options::codepatch(), true),
+            (Options::nop_padding(), false),
         ] {
             let c = generate(&hir, &opts);
             let sites = &c.debug.store_sites;
@@ -1299,7 +1146,7 @@ mod tests {
             for s in sites {
                 let idx = ((s.pc - CODE_BASE) / 4) as usize;
                 assert!(matches!(c.program.code[idx], Instr::Sb(..) | Instr::Sw(..)));
-                if opts.codepatch {
+                if checked {
                     let chk = s.chk_pc.expect("codepatch builds record chk pcs");
                     assert_eq!(chk + 4, s.pc, "chk immediately precedes its store");
                     let cidx = ((chk - CODE_BASE) / 4) as usize;
@@ -1319,51 +1166,8 @@ mod tests {
         let (a, b) = (&plain.debug.store_sites, &cp.debug.store_sites);
         assert_eq!(a.len(), b.len());
         for (sa, sb) in a.iter().zip(b) {
-            assert_eq!(sa.func, sb.func);
-            assert_eq!(sa.addr, sb.addr, "address summaries match by index");
+            assert_eq!((sa.func, sa.len), (sb.func, sb.len));
         }
-    }
-
-    #[test]
-    fn store_sites_summarize_addresses() {
-        let hir = lower(SITES_SRC).unwrap();
-        let c = generate(&hir, &Options::plain());
-        let sites = &c.debug.store_sites;
-        // x = 1; g = 2; p = a; p[1] = 3; *p = 4;  (main: x=0, a=1, p=2)
-        assert_eq!(sites.len(), 5);
-        assert_eq!(sites[0].addr, AddrDesc::stack_slot());
-        assert_eq!(sites[1].addr.direct, REGION_GLOBAL);
-        assert!(sites[1].addr.local_deps.is_empty());
-        assert_eq!(sites[2].addr, AddrDesc::stack_slot());
-        for s in &sites[3..5] {
-            assert_eq!(s.addr.direct, 0);
-            assert_eq!(s.addr.local_deps, vec![2], "address flows from p");
-            assert!(!s.addr.opaque);
-        }
-    }
-
-    #[test]
-    fn store_sites_mark_untrackable_addresses_opaque() {
-        let src = r#"
-            int main() {
-                int *t;
-                int **q;
-                t = malloc(8);
-                q = &t;
-                *(*q + 4) = 7;
-                *(malloc(4)) = 8;
-                return 0;
-            }
-        "#;
-        let hir = lower(src).unwrap();
-        let c = generate(&hir, &Options::plain());
-        let sites = &c.debug.store_sites;
-        assert_eq!(sites.len(), 4);
-        // `*(*q + 4)`: the inner load is through a computed address.
-        assert!(sites[2].addr.opaque);
-        // `*(malloc(4))`: direct heap base, fully tracked.
-        assert_eq!(sites[3].addr.direct, REGION_HEAP);
-        assert!(!sites[3].addr.opaque);
     }
 
     const SSA_HOIST_SRC: &str = r#"
@@ -1413,6 +1217,21 @@ mod tests {
     }
 
     #[test]
+    fn loopopt_build_drops_pointer_targets() {
+        let hir = lower(SSA_HOIST_SRC).unwrap();
+        let lo = generate(&hir, &Options::codepatch_loopopt());
+        let ssa = generate(&hir, &Options::codepatch_ssa());
+        // Section 9 keeps s, g, and the step's i; *p and p[1] go, and
+        // with them the `lw` each pointer guard loads its base with.
+        assert_eq!(lo.debug.loopopts.len(), 3, "{:?}", lo.debug.loopopts);
+        assert!(lo.debug.hoists.is_empty());
+        assert_eq!(lo.program.code.len() + 4, ssa.program.code.len());
+        let (o1, c1) = run_opts(SSA_HOIST_SRC, &[], &Options::plain());
+        let (o2, c2) = run_opts(SSA_HOIST_SRC, &[], &Options::codepatch_loopopt());
+        assert_eq!((o1, c1), (o2, c2));
+    }
+
+    #[test]
     fn ssa_hoist_skips_reassigned_pointers() {
         let src = r#"
             int main() {
@@ -1445,25 +1264,13 @@ mod tests {
         // Store sites align by index across cp and cp+ssa builds.
         assert_eq!(cp.debug.store_sites.len(), ssa.debug.store_sites.len());
         for (a, b) in cp.debug.store_sites.iter().zip(&ssa.debug.store_sites) {
-            assert_eq!(a.func, b.func);
-            assert_eq!(a.addr, b.addr);
+            assert_eq!((a.func, a.len), (b.func, b.len));
         }
-        // Builds without ssa_hoist record no hoist groups...
+        // Only the SSA build records SSA hoist groups.
         assert!(cp.debug.hoists.is_empty());
         assert!(generate(&hir, &Options::codepatch_loopopt())
             .debug
             .hoists
             .is_empty());
-        // ...and ssa_hoist without codepatch is a no-op.
-        let plain = generate(&hir, &Options::plain());
-        let plain_ssa = generate(
-            &hir,
-            &Options {
-                ssa_hoist: true,
-                ..Options::plain()
-            },
-        );
-        assert_eq!(plain.program.code, plain_ssa.program.code);
-        assert!(plain_ssa.debug.hoists.is_empty());
     }
 }

@@ -23,16 +23,15 @@ pub const REGION_ALL: u8 = REGION_STACK | REGION_GLOBAL | REGION_HEAP;
 /// forged address proves nothing, so such sites are never elided either.
 pub const REGION_NONE: u8 = 0;
 
-/// A syntactic summary of one store's address expression, emitted by the
-/// code generator. This is the compiler's half of the static write-safety
-/// pass: it records *where the address came from* without judging it; the
-/// `databp-analysis` crate resolves the dependencies against its
-/// points-to masks to classify the site.
+/// A summary of where one value — a store's address, or a value flowing
+/// into a named scalar — came from, derived by the SSA pass
+/// ([`crate::ssa`]) from reaching definitions. It records the origin
+/// without judging it; the `databp-analysis` crate resolves the
+/// dependencies against its points-to masks to classify the site.
 ///
-/// The summary of an address expression is the (term-wise) union over its
-/// `+`/`-` terms: direct bases contribute region bits, loads of named
-/// scalars contribute dependencies, and anything untrackable sets
-/// [`AddrDesc::opaque`].
+/// A summary is the (term-wise) union over its `+`/`-` terms: direct
+/// bases contribute region bits, loads of named scalars contribute
+/// dependencies, and anything untrackable sets [`AddrDesc::opaque`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AddrDesc {
     /// Regions the address is *directly* derived from: `&local` sets
@@ -53,17 +52,6 @@ pub struct AddrDesc {
     pub opaque: bool,
 }
 
-impl AddrDesc {
-    /// The descriptor of a direct store to a frame slot (parameter
-    /// spills, named-local assignments).
-    pub fn stack_slot() -> AddrDesc {
-        AddrDesc {
-            direct: REGION_STACK,
-            ..AddrDesc::default()
-        }
-    }
-}
-
 /// One traced store instruction, in emission (= pc-ascending) order.
 /// Plain, CodePatch, and nop-padded builds of the same program emit the
 /// same sites in the same order (only the pcs differ), which is what lets
@@ -75,13 +63,11 @@ pub struct StoreSiteInfo {
     pub pc: u32,
     /// Byte pc of the preceding `chk` (CodePatch builds only).
     pub chk_pc: Option<u32>,
-    /// Owning function id (resolves [`AddrDesc::local_deps`]).
+    /// Owning function id.
     pub func: u16,
     /// Store width in bytes (1 for `sb`, 4 for `sw`) — the mask applied
     /// to the written value, which predicate deadness must mirror.
     pub len: u32,
-    /// Where the store's effective address comes from.
-    pub addr: AddrDesc,
 }
 
 /// One local automatic variable (parameters included).
@@ -129,8 +115,8 @@ pub struct GlobalInfo {
     pub is_literal: bool,
 }
 
-/// The paper's Section 9 loop-invariant check optimization, as emitted:
-/// one record per (loop, store target).
+/// One preheader check group as emitted: one record per (loop, store
+/// target), for Section 9 (`loopopts`) and SSA (`hoists`) groups alike.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoopOptInfo {
     /// Byte pc of the preliminary check in the loop preheader.
@@ -156,23 +142,24 @@ pub struct DebugInfo {
     /// compiled with `nop_padding`); a dynamic code patcher overwrites
     /// these with checks at run time.
     pub pad_pcs: Vec<u32>,
-    /// Loop-invariant check groups (only when compiled with
-    /// `loopopt`).
+    /// Section 9 loop-invariant check groups (only in
+    /// `Options::codepatch_loopopt` builds): the SSA planner's groups
+    /// for named scalar targets.
     pub loopopts: Vec<LoopOptInfo>,
-    /// SSA-planned dominator-hoisted check groups (only when compiled
-    /// with `ssa_hoist`): one preheader `chk` dominating — and licensing
-    /// the run-time skip of — each listed body check. Unlike `loopopts`
-    /// these cover stores through loop-invariant promotable pointers,
-    /// not just named scalars.
+    /// SSA-planned dominator-hoisted check groups (only in
+    /// `Options::codepatch_ssa` builds): one preheader `chk` dominating
+    /// — and licensing the run-time skip of — each listed body check.
+    /// Unlike `loopopts` these cover stores through loop-invariant
+    /// promotable pointers, not just named scalars.
     pub hoists: Vec<LoopOptInfo>,
     /// Data segment size in bytes.
     pub data_size: u32,
     /// Static count of traced write instructions (the paper's CodePatch
     /// space-expansion numerator).
     pub traced_store_count: u32,
-    /// Every traced store site in emission order (pc ascending), with the
-    /// code generator's address summary — the input to the static
-    /// write-safety pass in `databp-analysis`.
+    /// Every traced store site in emission order (pc ascending). The
+    /// SSA pass enumerates the same sites in the same order, which is
+    /// how `databp-analysis` attaches its per-site facts.
     pub store_sites: Vec<StoreSiteInfo>,
 }
 

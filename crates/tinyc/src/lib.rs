@@ -16,10 +16,12 @@
 //!   saves and expression-temporary spills are recorded in
 //!   [`DebugInfo::untraced_store_pcs`], matching the paper's "implicit
 //!   writes (e.g., register spilling) do not appear in the trace".
-//! * **CodePatch instrumentation is a compile-time option**
+//! * **CodePatch instrumentation is a build kind**
 //!   ([`Options::codepatch`]): a `chk` precedes every traced store. The
 //!   loop-invariant preliminary-check optimization sketched in the
-//!   paper's Section 9 is implemented behind [`Options::loopopt`].
+//!   paper's Section 9 is the [`Options::codepatch_loopopt`] build, and
+//!   [`Options::codepatch_ssa`] extends it to pointer targets; the
+//!   [`ssa`] pass plans the preheader checks of both.
 //!
 //! The supported language: `int`, `char`, pointers, fixed arrays, named
 //! structs, `static` function-locals, the usual statements

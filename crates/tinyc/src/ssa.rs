@@ -1,15 +1,16 @@
 //! SSA middle end: the flow-sensitive half of the static write-safety
 //! story.
 //!
-//! The syntactic [`AddrDesc`] fold in codegen is flow-*insensitive*: a
-//! pointer assigned `&x` then `&g` summarizes every store through it as
-//! "stack or global". This module lowers HIR into SSA form — CFG,
-//! dominator tree, dominance frontiers, mem2reg for address-never-taken
-//! scalars, constant propagation, and reachability-based DCE — and
-//! re-derives each store site's [`AddrDesc`] from the *reaching
-//! definition* of its address, so the write-safety fixpoint in
-//! `databp-analysis` classifies far more sites as provably stack- or
-//! global-only.
+//! A syntactic fold over a store's address expression is
+//! flow-*insensitive*: a pointer assigned `&x` then `&g` would summarize
+//! every store through it as "stack or global". This module lowers HIR
+//! into SSA form — CFG, dominator tree, dominance frontiers, mem2reg for
+//! address-never-taken scalars, constant propagation, and
+//! reachability-based DCE — and derives each store site's [`AddrDesc`]
+//! from the *reaching definition* of its address, so the write-safety
+//! fixpoint in `databp-analysis` classifies far more sites as provably
+//! stack- or global-only. It is the only source of store-address facts
+//! and of loop-hoist plans.
 //!
 //! Three outputs feed downstream consumers:
 //!
@@ -21,7 +22,8 @@
 //!   one preheader guard whose verdict licenses eliding the
 //!   per-iteration checks it dominates (the bounds-check-elimination
 //!   shape from Section 9 of the paper, extended to loop-invariant
-//!   pointer targets).
+//!   pointer targets). The Section 9 build emits the named-scalar
+//!   targets, the SSA build all of them.
 //! * [`dump`] — a deterministic text rendering of the whole pipeline
 //!   for `repro tinyc --dump-ssa`.
 //!
@@ -35,8 +37,9 @@
 //!   `SsaInfo::flat_sites` is index-aligned with
 //!   `DebugInfo::store_sites`.
 //! * A local is *promotable* (its loads resolve to SSA values) only if
-//!   its address never escapes under exactly the rules of the analysis
-//!   solver's benign-position walk, and its type is a word scalar.
+//!   its address never escapes under the escape pass's benign-position
+//!   rules — the same taken sets the analysis solver saturates — and its
+//!   type is a word scalar.
 //! * Constant folding is value-exact (wrapping arithmetic, signed
 //!   compares); division, remainder, and shifts are never folded.
 //! * A hoisted pointer target requires the pointer to be promotable
@@ -56,8 +59,8 @@ use crate::types::Type;
 /// What SSA analysis concluded about one traced store site.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SiteFact {
-    /// Refined address descriptor (reaching-definition based; at least
-    /// as tight as the syntactic summary in `DebugInfo::store_sites`).
+    /// Address descriptor, from the reaching definitions of the
+    /// store's address at this program point.
     pub desc: AddrDesc,
     /// The stored value, when constant propagation proves it a
     /// compile-time constant at this site (raw, unmasked — callers mask
@@ -270,11 +273,11 @@ fn promotable_locals(f: &FuncDef, taken: &[bool]) -> Vec<bool> {
 
 // ---- escape pass ----
 //
-// Mirrors the benign-position rules of the analysis solver's walk: an
-// `&x` is harmless only as the immediate child of a load (a plain
-// read) or the address slot of a direct assignment (a plain write).
-// Every other position — stored values, call arguments, arithmetic —
-// escapes the object.
+// The one escape rule of the write-safety analysis (the solver
+// saturates exactly these taken sets): an `&x` is harmless only as the
+// immediate child of a load (a plain read) or the address slot of a
+// direct assignment (a plain write). Every other position — stored
+// values, call arguments, arithmetic — escapes the object.
 
 struct Escape {
     locals: Vec<Vec<bool>>,
@@ -1665,7 +1668,7 @@ mod tests {
         let m = &info.funcs[hir.main as usize];
         assert_eq!(m.sites.len(), 4);
         // `*p = 1` sees only the `&x` definition; `*p = 2` only `&g` —
-        // the syntactic fold would blur both to stack|global.
+        // a flow-insensitive fold would blur both to stack|global.
         assert_eq!(m.sites[1].desc.direct, REGION_STACK);
         assert!(m.sites[1].desc.local_deps.is_empty());
         assert!(!m.sites[1].desc.opaque);
@@ -1765,7 +1768,13 @@ mod tests {
         // Site 0 is the parameter spill; site 1 the store through p,
         // whose entry atom defers to the fixpoint's param node.
         assert_eq!(take.sites.len(), 2);
-        assert_eq!(take.sites[0].desc, AddrDesc::stack_slot());
+        assert_eq!(
+            take.sites[0].desc,
+            AddrDesc {
+                direct: REGION_STACK,
+                ..AddrDesc::default()
+            }
+        );
         assert_eq!(take.sites[1].desc.direct, 0);
         assert_eq!(take.sites[1].desc.local_deps, vec![0]);
         // Call-argument edges from main carry the two regions.
@@ -1802,17 +1811,6 @@ mod tests {
         let mut sorted = fids.clone();
         sorted.sort_unstable();
         assert_eq!(fids, sorted);
-        // Straight stack-slot stores never loosen.
-        for (sf, ss) in flat.iter().zip(&compiled.debug.store_sites) {
-            if ss.addr == AddrDesc::stack_slot() && !sf.dead {
-                assert_eq!(
-                    sf.desc.direct & REGION_STACK,
-                    REGION_STACK,
-                    "site pc {:#x}",
-                    ss.pc
-                );
-            }
-        }
     }
 
     #[test]

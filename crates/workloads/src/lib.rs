@@ -639,6 +639,42 @@ mod tests {
         }
     }
 
+    /// `analyze_writes` attaches SSA site facts to `DebugInfo::store_sites`
+    /// by index; when the two enumerations disagree it classifies every
+    /// site as unprovable. Pin that they agree on every bundled program,
+    /// in every build.
+    #[test]
+    fn ssa_sites_align_with_codegen_on_every_workload() {
+        for w in Workload::all().into_iter().chain(Workload::bench()) {
+            let hir = databp_tinyc::lower(w.source).unwrap();
+            let ssa = databp_tinyc::ssa::analyze(&hir);
+            for opts in [
+                Options::plain(),
+                Options::codepatch(),
+                Options::codepatch_loopopt(),
+                Options::codepatch_ssa(),
+                Options::nop_padding(),
+            ] {
+                let sites = compile(w.source, &opts).unwrap().debug.store_sites;
+                assert_eq!(
+                    ssa.flat_sites().count(),
+                    sites.len(),
+                    "{} {opts:?}: total site count",
+                    w.name
+                );
+                for (fid, f) in ssa.funcs.iter().enumerate() {
+                    let n = sites.iter().filter(|s| s.func == fid as u16).count();
+                    assert_eq!(
+                        f.sites.len(),
+                        n,
+                        "{} {opts:?}: site count of function {fid}",
+                        w.name
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn loopopt_build_has_hoist_groups() {
         for name in ["cc", "tex", "spice", "qcd", "bps"] {
