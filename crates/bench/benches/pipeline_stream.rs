@@ -23,12 +23,13 @@ fn bench_materialized_vs_streamed(c: &mut Criterion) {
         let w = Workload::by_name(name)
             .expect("workload exists")
             .scaled_down();
-        let materialized = AnalyzeOpts::default();
+        let materialized = AnalyzeOpts {
+            stream: false,
+            ..AnalyzeOpts::default()
+        };
         // No tee: the streamed configuration measures the pure overlap,
-        // the way `analyze_all` runs when nothing downstream needs the
-        // materialized trace.
+        // without the materialized copy the default keeps.
         let streamed = AnalyzeOpts {
-            stream: true,
             keep_trace: false,
             ..AnalyzeOpts::default()
         };

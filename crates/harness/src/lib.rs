@@ -37,5 +37,5 @@ pub mod verify;
 
 pub use pipeline::{
     analyze, analyze_all, analyze_all_jobs, analyze_all_opts, analyze_opts, default_jobs,
-    overheads_for, reanalyze, AnalyzeOpts, Scale, WorkloadResults,
+    normalize_ladder, overheads_for, reanalyze, AnalyzeOpts, Scale, WorkloadResults,
 };

@@ -1,18 +1,21 @@
 //! The phase-1 + phase-2 pipeline shared by every experiment.
 //!
 //! Phase 2 is the whole cost of the reproduction, so the pipeline is
-//! built to spend it once — and, since the streaming path landed, to
-//! *overlap* it with phase 1:
+//! built to spend it once — and, by default, to *overlap* it with
+//! phase 1:
 //!
 //! * [`analyze`] replays the trace through the simulator's fused
 //!   page-size ladder (one trace walk yields the counts for every
 //!   requested size — the 4K/8K pair by default, any ladder via
 //!   [`AnalyzeOpts::ladder`]);
-//! * with [`AnalyzeOpts::stream`], the traced machine run feeds event
-//!   batches through a bounded channel to a concurrent replay engine,
-//!   so phase 2 finishes moments after phase 1 halts instead of
-//!   starting there — with byte-identical results (session discovery is
-//!   canonicalized to the materialized enumeration order);
+//! * the default path streams: the traced machine run, on the caller's
+//!   thread, feeds event batches through a bounded channel to a scoped
+//!   consumer thread running the replay engine, so phase 2 finishes
+//!   moments after phase 1 halts instead of starting there — with
+//!   byte-identical results (session discovery is canonicalized to the
+//!   materialized enumeration order). On a one-CPU host the batches are
+//!   replayed inline on the tracing thread instead. `stream: false`
+//!   keeps the classic materialize-then-replay path as the reference;
 //! * [`analyze_all`] fans the five workloads out across worker threads
 //!   ([`analyze_all_jobs`]). Results always come back in
 //!   [`Workload::all()`] order, independent of thread scheduling, so
@@ -39,9 +42,15 @@ pub enum Scale {
 }
 
 /// Pipeline configuration for [`analyze_opts`] / [`analyze_all_opts`].
+///
+/// The default overlaps phase 2 with phase 1: the traced run stays on
+/// the caller's thread and a consumer thread replays its batches (inline
+/// replay on a one-CPU host), teeing the trace for callers that need it.
 #[derive(Debug, Clone)]
 pub struct AnalyzeOpts {
-    /// Overlap phase 2 with phase 1 through the streaming channel.
+    /// Overlap phase 2 with phase 1 through the streaming channel
+    /// (default). `false` materializes the whole trace first, then
+    /// replays it — the reference the streamed path is tested against.
     pub stream: bool,
     /// Keep a materialized copy of the trace in
     /// [`Prepared::trace`](databp_workloads::Prepared) even when
@@ -59,14 +68,17 @@ pub struct AnalyzeOpts {
     /// streaming: each batch is replayed on the tracing thread itself —
     /// still no materialized trace on the hot path, but no consumer
     /// thread either, which is the right shape on a single-core host
-    /// where a second thread only adds context switches.
+    /// where a second thread only adds context switches. The default is
+    /// `0` when only one CPU is available to this thread and 16
+    /// otherwise.
     pub channel_batches: usize,
 }
 
 impl Default for AnalyzeOpts {
     fn default() -> Self {
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
         AnalyzeOpts {
-            stream: false,
+            stream: true,
             keep_trace: true,
             ladder: vec![PageSize::K4, PageSize::K8],
             // Sized so the producer rarely blocks: sixteen batches of
@@ -74,35 +86,29 @@ impl Default for AnalyzeOpts {
             // of buffering is still far below materializing a full
             // trace.
             batch_events: 16 * 1024,
-            channel_batches: 16,
+            channel_batches: if cpus > 1 { 16 } else { 0 },
         }
     }
 }
 
 impl AnalyzeOpts {
-    /// The channel depth streaming callers should use when they have no
-    /// reason to pick one: the default bounded channel on multicore
-    /// hosts, inline replay (`0`) when only one CPU is available.
-    pub fn auto_channel_batches() -> usize {
-        if std::thread::available_parallelism().map_or(1, |n| n.get()) > 1 {
-            AnalyzeOpts::default().channel_batches
-        } else {
-            0
-        }
-    }
-
-    /// The effective ladder: requested sizes plus the mandatory 4K/8K
-    /// pair, ascending and deduplicated. Public because the replay
-    /// service's trace cache compares request ladders against cached
-    /// ones in exactly this normalized form.
+    /// The effective ladder: [`normalize_ladder`] of [`AnalyzeOpts::ladder`].
     pub fn normalized_ladder(&self) -> Vec<PageSize> {
-        let mut ladder = self.ladder.clone();
-        ladder.push(PageSize::K4);
-        ladder.push(PageSize::K8);
-        ladder.sort_unstable_by_key(|ps| ps.shift());
-        ladder.dedup();
-        ladder
+        normalize_ladder(&self.ladder)
     }
+}
+
+/// The effective ladder for the requested `sizes`: those sizes plus the
+/// mandatory 4K/8K pair, ascending and deduplicated. Public because the
+/// replay service's trace cache compares request ladders against cached
+/// ones in exactly this normalized form.
+pub fn normalize_ladder(sizes: &[PageSize]) -> Vec<PageSize> {
+    let mut ladder = sizes.to_vec();
+    ladder.push(PageSize::K4);
+    ladder.push(PageSize::K8);
+    ladder.sort_unstable_by_key(|ps| ps.shift());
+    ladder.dedup();
+    ladder
 }
 
 /// Everything the experiments need for one workload: trace, sessions
@@ -148,7 +154,7 @@ impl WorkloadResults {
 }
 
 /// Runs phase 1 and phase 2 for one workload with default options
-/// (materialized trace, 4K/8K ladder).
+/// (overlapped phases, teed trace, 4K/8K ladder).
 ///
 /// # Panics
 ///
@@ -194,11 +200,7 @@ pub fn reanalyze(prepared: &Prepared, ladder: &[PageSize]) -> WorkloadResults {
         "reanalyze needs a materialized trace (workload {})",
         prepared.workload.name
     );
-    let ladder = AnalyzeOpts {
-        ladder: ladder.to_vec(),
-        ..AnalyzeOpts::default()
-    }
-    .normalized_ladder();
+    let ladder = normalize_ladder(ladder);
     let (all, candidates, set) = {
         let _t = databp_telemetry::time!("harness.sessions");
         let all = enumerate_sessions(&prepared.plain.debug, &prepared.trace);
@@ -311,8 +313,9 @@ impl EventSink for InlineReplaySink {
 }
 
 /// The streaming path: the traced run produces event batches that are
-/// replayed as they fill — through a bounded channel to a consumer
-/// thread (`channel_batches >= 1`), or inline on the tracing thread
+/// replayed as they fill — through a bounded channel to a scoped
+/// consumer thread (`channel_batches >= 1`) while the traced run stays
+/// on the caller's thread, or inline on the tracing thread
 /// (`channel_batches == 0`) — discovering heap sessions online either
 /// way. Results are canonicalized to match the materialized path
 /// exactly.
@@ -351,24 +354,25 @@ fn analyze_streamed(
         let (tx, rx) = batch_channel(opts.channel_batches);
         let sink = StreamSink::new(tx, opts.batch_events.max(1), opts.keep_trace);
         std::thread::scope(|s| {
-            let producer = s.spawn(move || {
-                // The producer half of the `harness.prepare` work: the
-                // traced machine run. Closing the sink here (not on the
-                // consumer side) flushes the tail batch and ends the
-                // stream even if the consumer is slow.
+            let consumer = s.spawn(move || {
+                let mut replay = StreamingReplay::new(membership, ladder);
+                while let Some(batch) = rx.recv() {
+                    replay.feed(batch.events());
+                    rx.recycle(batch);
+                }
+                replay.finish()
+            });
+            // The producer half of the `harness.prepare` work: the
+            // traced machine run, on the caller's thread. Closing the
+            // sink flushes the tail batch and ends the stream; if the
+            // run fails, unwinding drops the sink, which ends it too.
+            let (prepared, tee) = {
                 let _t = databp_telemetry::time!("harness.prepare");
                 let (prepared, sink) = run_traced(workload, plain, sink)
                     .unwrap_or_else(|e| panic!("workload {} failed: {e}", workload.name));
-                let tee = sink.close();
-                (prepared, tee)
-            });
-            let mut replay = StreamingReplay::new(membership, ladder);
-            while let Some(batch) = rx.recv() {
-                replay.feed(batch.events());
-                rx.recycle(batch);
-            }
-            let (set, counts) = replay.finish();
-            let (prepared, tee) = match producer.join() {
+                (prepared, sink.close())
+            };
+            let (set, counts) = match consumer.join() {
                 Ok(r) => r,
                 Err(panic) => std::panic::resume_unwind(panic),
             };

@@ -61,7 +61,11 @@ fn streamed_pipeline_is_csv_identical() {
     // The streaming pipeline overlaps trace generation with replay and
     // discovers heap sessions online — none of that may show in any CSV,
     // at any worker count.
-    let sequential = analyze_all_jobs(Scale::Small, 1);
+    let materialized = AnalyzeOpts {
+        stream: false,
+        ..AnalyzeOpts::default()
+    };
+    let sequential = analyze_all_opts(Scale::Small, 1, &materialized);
     let streamed = AnalyzeOpts {
         stream: true,
         ..AnalyzeOpts::default()

@@ -1,16 +1,18 @@
 //! The streaming pipeline must be invisible in the results: for every
-//! workload, batch size, channel depth, and ladder, `--stream` produces
-//! exactly the sessions, counts, trace, and base timing of the
-//! materialized two-phase run.
+//! workload, batch size, channel depth, and ladder — the default
+//! overlapped path included — it produces exactly the sessions, counts,
+//! trace, and base timing of the materialized two-phase run.
 
 use databp_harness::{analyze_opts, AnalyzeOpts, WorkloadResults};
 use databp_machine::PageSize;
 use databp_workloads::Workload;
 
+/// The reference: trace fully materialized, then replayed.
 fn materialized(w: &Workload, ladder: &[PageSize]) -> WorkloadResults {
     analyze_opts(
         w,
         &AnalyzeOpts {
+            stream: false,
             ladder: ladder.to_vec(),
             ..AnalyzeOpts::default()
         },
@@ -35,21 +37,19 @@ fn assert_equivalent(label: &str, st: &WorkloadResults, mat: &WorkloadResults) {
 
 #[test]
 fn streamed_matches_materialized_per_workload() {
-    for name in ["cc", "bps", "tex"] {
-        let w = Workload::by_name(name).unwrap().scaled_down();
+    // `AnalyzeOpts::default()` streams, and it is what every table, the
+    // service and the benchmark run: it must agree with the reference on
+    // all nine programs, the teed trace included.
+    for w in Workload::all().into_iter().chain(Workload::bench()) {
+        let w = w.scaled_down();
         let mat = materialized(&w, &[PageSize::K4, PageSize::K8]);
-        let st = analyze_opts(
-            &w,
-            &AnalyzeOpts {
-                stream: true,
-                ..AnalyzeOpts::default()
-            },
-        );
-        assert_equivalent(name, &st, &mat);
+        let st = analyze_opts(&w, &AnalyzeOpts::default());
+        assert_equivalent(w.name, &st, &mat);
         assert_eq!(
             st.prepared.trace.events(),
             mat.prepared.trace.events(),
-            "{name}: teed trace"
+            "{}: teed trace",
+            w.name
         );
     }
 }

@@ -145,8 +145,6 @@ const OPTIONS: &[(&str, &str)] = &[
     ("--jobs N",
      "run up to N workloads in parallel (default: one per available core); for \
       serve/client, the service worker count"),
-    ("--stream",
-     "overlap phase 2 with phase 1 through a bounded channel (results are byte-identical)"),
     ("--page-sizes LIST",
      "comma-separated page-size ladder, e.g. 4K,8K,16K,32K (4K and 8K are always included; \
       all sizes share one trace walk)"),
@@ -164,7 +162,7 @@ fn command(name: &str) -> Option<&'static Command> {
 fn usage() -> String {
     let mut out = String::from(
         "usage: repro [--small] [--csv DIR] [--telemetry FMT] [--jobs N]\n             \
-         [--stream] [--page-sizes LIST] [--store DIR] <command>\n\ncommands:\n",
+         [--page-sizes LIST] [--store DIR] <command>\n\ncommands:\n",
     );
     for c in COMMANDS {
         push_entry(&mut out, &format!("{} {}", c.name, c.synopsis), c.help);
@@ -231,7 +229,6 @@ struct Opts {
     csv_dir: Option<PathBuf>,
     telemetry: Option<TelemetryFormat>,
     jobs: usize,
-    stream: bool,
     ladder: Vec<PageSize>,
     store: Option<PathBuf>,
 }
@@ -248,11 +245,7 @@ impl Opts {
     /// Pipeline options for this invocation.
     fn analyze(&self) -> AnalyzeOpts {
         AnalyzeOpts {
-            stream: self.stream,
             ladder: self.ladder.clone(),
-            // Threaded overlap on multicore hosts, inline replay on a
-            // single core (a consumer thread would only context-switch).
-            channel_batches: AnalyzeOpts::auto_channel_batches(),
             ..AnalyzeOpts::default()
         }
     }
@@ -261,9 +254,6 @@ impl Opts {
     fn server(&self) -> ServerConfig {
         ServerConfig {
             workers: self.jobs.clamp(1, 8),
-            // `--stream` opts the one-shot commands *into* streaming;
-            // the service streams by default and the flag is a no-op.
-            stream: true,
             store: self.store.clone(),
             ..ServerConfig::default()
         }
@@ -287,7 +277,6 @@ fn main() -> ExitCode {
         csv_dir: None,
         telemetry: None,
         jobs: default_jobs(),
-        stream: false,
         ladder: vec![PageSize::K4, PageSize::K8],
         store: None,
     };
@@ -298,10 +287,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         opts.store = Some(PathBuf::from(args.remove(pos)));
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--stream") {
-        args.remove(pos);
-        opts.stream = true;
     }
     if let Some(pos) = args.iter().position(|a| a == "--page-sizes") {
         args.remove(pos);
@@ -409,17 +394,12 @@ fn run(cmd: &Command, args: &[String], opts: &Opts) -> ExitCode {
 /// Runs phase 1 and phase 2 over the five paper workloads.
 fn analyze_paper(opts: &Opts) -> Vec<WorkloadResults> {
     eprintln!(
-        "running {} workloads across {} thread(s){} (this regenerates the paper's traces)...",
+        "running {} workloads across {} thread(s) (this regenerates the paper's traces)...",
         match opts.scale {
             Scale::Full => "full-scale",
             Scale::Small => "scaled-down",
         },
         opts.jobs.min(Workload::all().len()),
-        if opts.stream {
-            ", streaming phase 2"
-        } else {
-            ""
-        },
     );
     let results = analyze_all_opts(opts.scale, opts.jobs, &opts.analyze());
     eprintln!("workloads done.\n");
@@ -1009,22 +989,19 @@ fn perf(opts: &Opts) -> ExitCode {
 
     let wall = std::time::Instant::now();
     let v_start = vclock();
-    // perf always takes the streaming pipeline — it is the configuration
-    // whose counters (`pipeline.*`) and spans the snapshot is meant to
-    // track — and keeps the teed trace because loopopt/staticopt/dyncp
-    // below re-execute against it.
+    // perf takes the default streaming pipeline (its `pipeline.*`
+    // counters and spans are what the snapshot tracks) with the teed
+    // trace, because loopopt/staticopt/dyncp below re-execute against it.
     let results = analyze_all_opts(
         Scale::Small,
         opts.jobs,
         &AnalyzeOpts {
-            stream: true,
-            keep_trace: true,
             ladder: opts.ladder.clone(),
-            channel_batches: AnalyzeOpts::auto_channel_batches(),
             // Wider batches amortize the replay engine's cache refill
             // per feed; ~1 MiB of buffering is still far below a
             // materialized trace.
             batch_events: 64 * 1024,
+            ..AnalyzeOpts::default()
         },
     );
     let dv = vclock() - v_start;
@@ -1055,17 +1032,7 @@ fn perf(opts: &Opts) -> ExitCode {
         timed!("staticopt-bench", {
             let bench: Vec<WorkloadResults> = Workload::bench()
                 .into_iter()
-                .map(|w| {
-                    analyze_opts(
-                        &w.scaled_down(),
-                        &AnalyzeOpts {
-                            stream: true,
-                            keep_trace: true,
-                            channel_batches: AnalyzeOpts::auto_channel_batches(),
-                            ..AnalyzeOpts::default()
-                        },
-                    )
-                })
+                .map(|w| analyze_opts(&w.scaled_down(), &AnalyzeOpts::default()))
                 .collect();
             staticopt::staticopt_report(&bench)
         }),

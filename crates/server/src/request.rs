@@ -14,11 +14,11 @@
 //! [`WorkloadResults`](databp_harness::WorkloadResults), so a cached
 //! answer is *byte-identical* to a freshly computed one by
 //! construction — the end-to-end tests pin that equality against the
-//! one-shot `--stream` pipeline.
+//! one-shot pipeline.
 
 use crate::json::{self, Value};
 use databp_core::WriterMap;
-use databp_harness::{overheads_for, AnalyzeOpts, Scale, WorkloadResults};
+use databp_harness::{normalize_ladder, overheads_for, Scale, WorkloadResults};
 use databp_machine::PageSize;
 use databp_models::Approach;
 use databp_sim::{QueryResult, WriteHit};
@@ -92,11 +92,7 @@ impl Request {
     /// The normalized page-size ladder this request needs (requested
     /// sizes plus the mandatory 4K/8K pair, ascending, deduplicated).
     pub fn normalized_ladder(&self) -> Vec<PageSize> {
-        AnalyzeOpts {
-            ladder: self.page_sizes.clone(),
-            ..AnalyzeOpts::default()
-        }
-        .normalized_ladder()
+        normalize_ladder(&self.page_sizes)
     }
 
     /// The workload this request names, at its requested scale.

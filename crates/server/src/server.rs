@@ -36,7 +36,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use databp_harness::{analyze_opts, reanalyze, AnalyzeOpts, WorkloadResults};
+use databp_harness::{analyze_opts, normalize_ladder, reanalyze, AnalyzeOpts, WorkloadResults};
 use databp_machine::PageSize;
 use databp_trace::TraceStore;
 use databp_workloads::{compile_plain, Prepared, Workload};
@@ -330,7 +330,6 @@ impl Server {
                     stream: cfg.stream,
                     keep_trace: true, // the cache IS the trace owner
                     ladder: req.page_sizes.clone(),
-                    channel_batches: AnalyzeOpts::auto_channel_batches(),
                     ..AnalyzeOpts::default()
                 };
                 let results = analyze_opts(&workload, &opts);
@@ -471,7 +470,7 @@ fn warm_start(cache: &TraceCache<WorkloadResults>, dir: &Path) {
             instructions,
             output,
         );
-        let ladder = AnalyzeOpts::default().normalized_ladder();
+        let ladder = normalize_ladder(&[]);
         let results = reanalyze(&prepared, &ladder);
         let bytes = entry_bytes(&results);
         if let Lookup::MustBuild(guard) = cache.lookup_or_begin(key) {
@@ -510,9 +509,7 @@ mod tests {
         Server::start(ServerConfig {
             workers,
             queue_depth: 16,
-            cache_bytes: 512 << 20,
-            stream: true,
-            store: None,
+            ..ServerConfig::default()
         })
     }
 
@@ -540,9 +537,8 @@ mod tests {
         let cold = Server::start(ServerConfig {
             workers: 1,
             queue_depth: 16,
-            cache_bytes: 512 << 20,
-            stream: true,
             store: Some(dir.clone()),
+            ..ServerConfig::default()
         });
         let req = Request::simple("cold", "cc", Scale::Small);
         let first = cold.submit(req.clone()).unwrap().wait();
@@ -554,9 +550,8 @@ mod tests {
         let warm = Server::start(ServerConfig {
             workers: 1,
             queue_depth: 16,
-            cache_bytes: 512 << 20,
-            stream: true,
             store: Some(dir.clone()),
+            ..ServerConfig::default()
         });
         assert_eq!(warm.stats().cache_entries, 1);
         let mut again = req;

@@ -16,9 +16,8 @@ fn store_server(dir: &Path) -> Server {
     Server::start(ServerConfig {
         workers: 2,
         queue_depth: 16,
-        cache_bytes: 512 << 20,
-        stream: true,
         store: Some(dir.to_path_buf()),
+        ..ServerConfig::default()
     })
 }
 

@@ -70,6 +70,10 @@
 //! for novel spans or after the monitor set on those pages actually
 //! changed. Effect session lists live in append-only arenas
 //! (`eff_hits` / `eff_apms`), so a flush is a branch-free counter walk.
+//! A superseded effect's ranges are dead; once dead entries are more
+//! than half the arenas (and more than `COMPACT_FLOOR`), the live
+//! ranges are slid down in place and re-pointed, so the arenas stay
+//! within about twice the live effect lists however long the trace.
 //!
 //! Hits are page-size-independent by construction: a write that overlaps
 //! a monitored instance shares at least one byte with it, hence shares a
@@ -117,6 +121,10 @@ struct Effect {
 
 /// APM arena entries pack `level << LEVEL_SHIFT | session`.
 const LEVEL_SHIFT: u32 = 24;
+
+/// Dead arena entries (both arenas together) tolerated before a
+/// compaction is considered: below this, reclaiming is not worth a pass.
+const COMPACT_FLOOR: usize = 1 << 16;
 
 /// Per-page active member-monitor counts: unsorted `(session, count)`
 /// pairs, scanned linearly. A page's distinct member-session set is
@@ -240,9 +248,12 @@ pub(crate) struct EngineCore {
     /// install/remove overwrites in place without re-hashing.
     memo: FxHashMap<u64, u32>,
     effects: Vec<Effect>,
-    /// Effect arenas (append-only; superseded ranges are abandoned).
+    /// Effect arenas: append-only, with superseded ranges reclaimed by
+    /// [`EngineCore::compact_arenas`].
     eff_hits: Vec<u32>,
     eff_apms: Vec<u32>,
+    /// Entries of both arenas that no effect points at any more.
+    eff_dead: usize,
     total_writes: u64,
     /// Event stamp, pre-incremented per write and per install/remove;
     /// 0 is the never-stamped sentinel.
@@ -301,6 +312,7 @@ impl EngineCore {
             effects: Vec::new(),
             eff_hits: Vec::new(),
             eff_apms: Vec::new(),
+            eff_dead: 0,
             total_writes: 0,
             stamp: 0,
             lo: vec![0; n],
@@ -497,6 +509,12 @@ impl EngineCore {
                 let old = self.effects[i as usize];
                 self.flush_effect(old);
                 self.effects[i as usize] = e;
+                self.eff_dead += (old.hits.1 - old.hits.0 + old.apms.1 - old.apms.0) as usize;
+                if self.eff_dead > COMPACT_FLOOR
+                    && 2 * self.eff_dead > self.eff_hits.len() + self.eff_apms.len()
+                {
+                    self.compact_arenas();
+                }
             }
             None => {
                 let i = self.effects.len() as u32;
@@ -528,6 +546,32 @@ impl EngineCore {
                 st.apm[s] += e.count;
             }
         }
+    }
+
+    /// Drops the dead arena entries: slides every live range down in
+    /// place, in arena order, and re-points its effect. One order serves
+    /// both arenas because a sweep appends to each at once, so ranges
+    /// ascend in creation order in both (ties are empty ranges).
+    fn compact_arenas(&mut self) {
+        let mut order: Vec<u32> = (0..self.effects.len() as u32).collect();
+        order.sort_unstable_by_key(|&i| {
+            let e = &self.effects[i as usize];
+            (e.hits.0, e.apms.0)
+        });
+        let (mut h, mut a) = (0u32, 0u32);
+        for i in order {
+            let e = &mut self.effects[i as usize];
+            self.eff_hits
+                .copy_within(e.hits.0 as usize..e.hits.1 as usize, h as usize);
+            self.eff_apms
+                .copy_within(e.apms.0 as usize..e.apms.1 as usize, a as usize);
+            e.hits = (h, h + e.hits.1 - e.hits.0);
+            e.apms = (a, a + e.apms.1 - e.apms.0);
+            (h, a) = (e.hits.1, e.apms.1);
+        }
+        self.eff_hits.truncate(h as usize);
+        self.eff_apms.truncate(a as usize);
+        self.eff_dead = 0;
     }
 
     /// The full page sweep for one write: classifies each occupied base
@@ -1162,6 +1206,97 @@ mod tests {
         assert_eq!(c[0].hit, 4);
         assert_eq!(c[0].miss, 1);
         assert_eq!(c[1].vm_active_page_miss, 0);
+    }
+
+    #[test]
+    fn superseded_effects_are_reclaimed_and_counts_stay_exact() {
+        // Install/remove churn of `a` around one hot span (and a coarse
+        // neighbour) supersedes both spans' effects on every write,
+        // while `b` keeps their pages occupied. The arenas must stay
+        // bounded by the live ranges plus the floor, and compaction must
+        // not disturb a single count. The `c`/`d` span, written once
+        // before the churn and once after, keeps a live range low in the
+        // arenas, just above the hot span's one-entry first effect, so
+        // compaction must move ranges in arena order, not slot order.
+        let (a, b, c, d, e) = (g(0), g(1), g(2), g(3), g(4));
+        let m = TableMembership::new(
+            vec![
+                (a, (0..64).collect()),
+                (b, (60..70).collect()),
+                (c, (40..60).collect()),
+                (d, (64..70).collect()),
+                (e, vec![69]),
+            ],
+            70,
+        );
+        let install = |obj, ba| Event::Install {
+            obj,
+            ba,
+            ea: ba + 4,
+        };
+        let remove = |obj, ba| Event::Remove {
+            obj,
+            ba,
+            ea: ba + 4,
+        };
+        let mut events = vec![
+            install(c, 0x8000),
+            install(d, 0x8100),
+            install(e, 0x1200),
+            write(0x1000, 0x1004),
+            write(0x8000, 0x8004),
+            remove(e, 0x1200),
+            install(b, 0x1100),
+        ];
+        for _ in 0..1000 {
+            for op in [install, remove] {
+                events.push(op(a, 0x1000));
+                // Hot span: hits `a`'s members; `0x3000` is an APM at
+                // 16K only.
+                events.extend([write(0x1000, 0x1004), write(0x3000, 0x3004)]);
+            }
+        }
+        events.push(write(0x8000, 0x8004));
+        let trace = Trace::from_events(events);
+        let ladder = [PageSize::K4, PageSize::K8, PageSize::K16];
+        let mut core = EngineCore::new(&ladder);
+        core.ensure_sessions(m.count());
+        let mut interned = FxHashMap::default();
+        let mut scratch = Vec::new();
+        for ev in trace.events() {
+            match *ev {
+                Event::Install { obj, ba, ea } => {
+                    let i = *interned.entry(obj).or_insert_with(|| {
+                        m.sessions_of(&obj, &mut scratch);
+                        core.intern(&scratch)
+                    });
+                    core.install(obj, ba, ea, i);
+                }
+                Event::Remove { obj, ba, .. } => core.remove(obj, ba),
+                Event::Write { ba, ea, .. } => {
+                    core.write(ba, ea);
+                    let live: usize = core
+                        .effects
+                        .iter()
+                        .map(|e| (e.hits.1 - e.hits.0 + e.apms.1 - e.apms.0) as usize)
+                        .sum();
+                    let len = core.eff_hits.len() + core.eff_apms.len();
+                    assert_eq!(core.eff_dead, len - live, "dead-entry accounting");
+                    assert!(
+                        len - live <= COMPACT_FLOOR.max(live),
+                        "arenas hold {len} entries for {live} live ones"
+                    );
+                }
+                _ => {}
+            }
+        }
+        let counts = core.counts(m.count());
+        for (row, &ps) in counts.iter().zip(&ladder) {
+            for (s, c) in row.iter().enumerate() {
+                let naive = crate::simulate_naive(&trace, &m, ps, s as u32);
+                assert_eq!(*c, naive, "size {ps} session {s}");
+            }
+        }
     }
 
     #[test]

@@ -92,10 +92,16 @@ pub(crate) fn percentile_nearest_rank_sorted(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }
-    let n = sorted.len();
-    let rank = ((p / 100.0) * n as f64).ceil() as usize;
-    let rank = rank.clamp(1, n);
-    sorted[rank - 1]
+    sorted[nearest_rank(p, sorted.len()) - 1]
+}
+
+/// The 1-based nearest rank `ceil(p/100 · n)`, clamped to `1..=n`.
+/// Multiplying before dividing keeps a whole-number rank whole:
+/// `(99.9 / 100.0) * 1000.0` is `999.0000000000001`, which would round
+/// up to rank 1000, while `99.9 * 1000.0 / 100.0` is exactly 999.
+fn nearest_rank(p: f64, n: usize) -> usize {
+    let rank = (p * n as f64 / 100.0).ceil() as usize;
+    rank.clamp(1, n)
 }
 
 /// Returns the sub-slice of the ascending-sorted population falling between
@@ -190,6 +196,27 @@ mod tests {
         assert_eq!(percentile_nearest_rank(&v, 98.0), 10.0);
         // p = 10 -> rank ceil(1.0) = 1 -> minimum.
         assert_eq!(percentile_nearest_rank(&v, 10.0), 1.0);
+    }
+
+    #[test]
+    fn percentile_rank_is_exact_when_p_times_n_is_whole() {
+        for n in [1000usize, 2000] {
+            let v: Vec<f64> = (1..=n).map(|i| i as f64).collect();
+            let want = (n * 999 / 1000) as f64;
+            assert_eq!(percentile_nearest_rank(&v, 99.9), want, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn table_percentile_ranks_are_unchanged() {
+        // The ranks the paper tables and the benchmark use agree with
+        // the divide-first formula for every population size up to 5000.
+        for n in 1..=5000usize {
+            for p in [10.0, 50.0, 90.0, 98.0] {
+                let old = (((p / 100.0) * n as f64).ceil() as usize).clamp(1, n);
+                assert_eq!(nearest_rank(p, n), old, "p = {p}, n = {n}");
+            }
+        }
     }
 
     #[test]

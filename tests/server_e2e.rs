@@ -3,7 +3,7 @@
 //! The service's contract is that being a *service* changes nothing
 //! about the answers: a batch of mixed-strategy requests — duplicates
 //! included — must produce responses byte-identical to running the
-//! one-shot `--stream` pipeline per request, while the trace cache
+//! one-shot (overlapped) pipeline per request, while the trace cache
 //! ensures each distinct workload is traced exactly once.
 //!
 //! Everything lives in one `#[test]` because the phase-1 accounting
@@ -16,16 +16,14 @@ use databp::machine::PageSize;
 use databp::models::Approach;
 use databp::server::{body_for, CacheStatus, Request, Server, ServerConfig};
 
-/// One-shot pipeline run shaped exactly like a service cache miss:
-/// streamed phase-1/phase-2 overlap at the request's ladder.
+/// One-shot pipeline run shaped exactly like a service cache miss: the
+/// default phase-1/phase-2 overlap at the request's ladder.
 fn one_shot_body(req: &Request) -> String {
     let workload = req.resolve_workload().expect("known workload");
     let results = analyze_opts(
         &workload,
         &AnalyzeOpts {
-            stream: true,
             ladder: req.page_sizes.clone(),
-            channel_batches: AnalyzeOpts::auto_channel_batches(),
             ..AnalyzeOpts::default()
         },
     );
