@@ -45,19 +45,14 @@ pub enum Scale {
 ///
 /// The default overlaps phase 2 with phase 1: the traced run stays on
 /// the caller's thread and a consumer thread replays its batches (inline
-/// replay on a one-CPU host), teeing the trace for callers that need it.
+/// replay on a one-CPU host). Either path leaves the full trace in
+/// [`Prepared::trace`](databp_workloads::Prepared).
 #[derive(Debug, Clone)]
 pub struct AnalyzeOpts {
     /// Overlap phase 2 with phase 1 through the streaming channel
     /// (default). `false` materializes the whole trace first, then
     /// replays it — the reference the streamed path is tested against.
     pub stream: bool,
-    /// Keep a materialized copy of the trace in
-    /// [`Prepared::trace`](databp_workloads::Prepared) even when
-    /// streaming (needed by the static-elision check and the `trace`
-    /// command; tables don't use it). Ignored — always true — on the
-    /// materialized path.
-    pub keep_trace: bool,
     /// Page sizes to count at. 4 KiB and 8 KiB are always included (the
     /// models need them); extra sizes ride along in the same trace
     /// walk.
@@ -79,7 +74,6 @@ impl Default for AnalyzeOpts {
         let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
         AnalyzeOpts {
             stream: true,
-            keep_trace: true,
             ladder: vec![PageSize::K4, PageSize::K8],
             // Sized so the producer rarely blocks: sixteen batches of
             // 16K events absorb a whole scaled-down trace, and ~6 MiB
@@ -281,7 +275,7 @@ struct InlineReplaySink {
     replay: StreamingReplay<StreamSessionSet>,
     batch: Vec<Event>,
     capacity: usize,
-    tee: Option<Trace>,
+    tee: Trace,
 }
 
 impl InlineReplaySink {
@@ -302,9 +296,7 @@ impl InlineReplaySink {
 
 impl EventSink for InlineReplaySink {
     fn emit(&mut self, ev: Event) {
-        if let Some(t) = &mut self.tee {
-            t.push(ev);
-        }
+        self.tee.push(ev);
         self.batch.push(ev);
         if self.batch.len() >= self.capacity {
             self.flush();
@@ -338,7 +330,7 @@ fn analyze_streamed(
             replay: StreamingReplay::new(membership, ladder),
             batch: Vec::with_capacity(capacity),
             capacity,
-            tee: opts.keep_trace.then(Trace::new),
+            tee: Trace::new(),
         };
         let (prepared, mut sink) = {
             // Here `harness.prepare` covers the fused phase-1 + phase-2
@@ -352,7 +344,7 @@ fn analyze_streamed(
         (prepared, sink.tee, set, counts)
     } else {
         let (tx, rx) = batch_channel(opts.channel_batches);
-        let sink = StreamSink::new(tx, opts.batch_events.max(1), opts.keep_trace);
+        let sink = StreamSink::new(tx, opts.batch_events.max(1));
         std::thread::scope(|s| {
             let consumer = s.spawn(move || {
                 let mut replay = StreamingReplay::new(membership, ladder);
@@ -379,7 +371,7 @@ fn analyze_streamed(
             (prepared, tee, set, counts)
         })
     };
-    prepared.trace = tee.unwrap_or_default();
+    prepared.trace = tee;
     let (all, candidates, per_size) = {
         let _t = databp_telemetry::time!("harness.sessions");
         let (all, perm) = set.into_canonical();

@@ -167,9 +167,10 @@ pub fn measure(r: &WorkloadResults, samples: usize) -> Vec<StaticOptRow> {
         );
         // Corpus-level effectiveness counters: each traced store counts
         // once (the plain-CP run), against what the optimized variant
-        // removed. `repro perf` derives `cp.elision_rate` from these —
-        // the `cp.stores_*` counters also absorb the comparison's
-        // baseline runs, which by construction elide nothing.
+        // removed; (elided + hoisted) / base is the TOTAL row's rate,
+        // readable from any `--telemetry` snapshot. The `cp.stores_*`
+        // counters also absorb the comparison's baseline runs, which by
+        // construction elide nothing.
         let reg = databp_telemetry::global();
         reg.counter("staticopt.stores_base")
             .add_always(base.counts.writes());

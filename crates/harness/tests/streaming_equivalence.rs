@@ -114,19 +114,3 @@ fn inline_streaming_matches_materialized() {
         );
     }
 }
-
-#[test]
-fn streaming_without_tee_drops_the_trace_but_not_the_counts() {
-    let w = Workload::by_name("cc").unwrap().scaled_down();
-    let mat = materialized(&w, &[PageSize::K4, PageSize::K8]);
-    let st = analyze_opts(
-        &w,
-        &AnalyzeOpts {
-            stream: true,
-            keep_trace: false,
-            ..AnalyzeOpts::default()
-        },
-    );
-    assert_equivalent("cc no tee", &st, &mat);
-    assert!(st.prepared.trace.events().is_empty());
-}

@@ -107,16 +107,6 @@ const COMMANDS: &[Command] = &[
          printing cp.pred_filtered / cp.pred_fired",
         Direct(query_cmd)),
     cmd("verify", "", "run the DESIGN.md fidelity checklist (exit 1 on failure)", Results(verify)),
-    cmd("perf", "",
-        "instrumented small-scale run: per-table wall-clock + simulated cycles, a \
-         service-mix batch, the telemetry snapshot, and a diff against the previous \
-         results/perf.json (rotated to results/perf.prev.json) before writing the new one",
-        Direct(|_, o| perf(o))),
-    cmd("perfgate", "",
-        "compare results/perf.json against results/perf.prev.json, one line per gate; fail \
-         if a gated latency rose or a gated rate fell by more than PERF_GATE_TOLERANCE_PCT \
-         percent (default 25); missing or unparsable snapshots pass",
-        Direct(|_, _| perfgate())),
     cmd("sessions", "W", "list surviving sessions of workload W", Direct(sessions_cmd)),
     cmd("dist", "W A",
         "histogram of per-session overheads for workload W under approach A (nh, vm4k, vm8k, \
@@ -250,7 +240,7 @@ impl Opts {
         }
     }
 
-    /// Service configuration for `serve`/`client`/the perf service mix.
+    /// Service configuration for `serve`/`client`.
     fn server(&self) -> ServerConfig {
         ServerConfig {
             workers: self.jobs.clamp(1, 8),
@@ -260,13 +250,27 @@ impl Opts {
     }
 }
 
-fn emit(opts: &Opts, slug: &str, table: &TextTable) {
+/// Prints `table` and, under `--csv`, writes it to `<slug>.csv` in the
+/// CSV directory (which `main` has already created).
+fn emit(opts: &Opts, slug: &str, table: &TextTable) -> Result<(), String> {
     println!("{}", table.render());
     if let Some(dir) = &opts.csv_dir {
-        std::fs::create_dir_all(dir).expect("create csv dir");
         let path = dir.join(format!("{slug}.csv"));
-        std::fs::write(&path, table.render_csv()).expect("write csv");
+        std::fs::write(&path, table.render_csv())
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
         println!("(csv written to {})\n", path.display());
+    }
+    Ok(())
+}
+
+/// A command's exit code: success, or failure after printing the error.
+fn report(result: Result<(), String>) -> ExitCode {
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("repro: {e}");
+            ExitCode::FAILURE
+        }
     }
 }
 
@@ -360,20 +364,24 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
 
-    // `perf` enables telemetry itself; otherwise the flag controls it.
-    if opts.telemetry.is_some() || cmd.name == "perf" {
+    // Create the CSV directory before any workload runs, so a path that
+    // cannot hold one fails fast.
+    if let Some(dir) = &opts.csv_dir {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("--csv: cannot create {}: {e}", dir.display());
+            return ExitCode::FAILURE;
+        }
+    }
+    if opts.telemetry.is_some() {
         databp_telemetry::set_enabled(true);
         databp_telemetry::global().reset();
     }
 
     let code = run(cmd, &args, &opts);
 
-    // For every command except `perf` (which prints its own snapshot),
-    // `--telemetry` appends a dump of everything recorded.
-    if cmd.name != "perf" {
-        if let Some(fmt) = opts.telemetry {
-            print!("{}", fmt.render(&databp_telemetry::global().snapshot()));
-        }
+    // `--telemetry` appends a dump of everything the command recorded.
+    if let Some(fmt) = opts.telemetry {
+        print!("{}", fmt.render(&databp_telemetry::global().snapshot()));
     }
     code
 }
@@ -384,10 +392,7 @@ fn run(cmd: &Command, args: &[String], opts: &Opts) -> ExitCode {
         Direct(handler) => handler(&args[1..], opts),
         Results(handler) => handler(&analyze_paper(opts), opts),
         Table(table) => emit_ok(opts, cmd.name, &table(&analyze_paper(opts))),
-        Chart(fig) => {
-            emit_figure(&analyze_paper(opts), opts, fig, cmd.name);
-            ExitCode::SUCCESS
-        }
+        Chart(fig) => report(emit_figure(&analyze_paper(opts), opts, fig, cmd.name)),
     }
 }
 
@@ -408,14 +413,18 @@ fn analyze_paper(opts: &Opts) -> Vec<WorkloadResults> {
 
 /// `emit`, as a command's whole work.
 fn emit_ok(opts: &Opts, slug: &str, table: &TextTable) -> ExitCode {
-    emit(opts, slug, table);
-    ExitCode::SUCCESS
+    report(emit(opts, slug, table))
 }
 
 /// Prints a figure's ASCII chart, then emits its value table.
-fn emit_figure(results: &[WorkloadResults], opts: &Opts, fig: Figure, slug: &str) {
+fn emit_figure(
+    results: &[WorkloadResults],
+    opts: &Opts,
+    fig: Figure,
+    slug: &str,
+) -> Result<(), String> {
     println!("{}", figure_ascii(results, fig, 48));
-    emit(opts, slug, &figure(results, fig));
+    emit(opts, slug, &figure(results, fig))
 }
 
 /// The `table2` command: no workload runs needed.
@@ -425,20 +434,22 @@ fn table2(_args: &[String], opts: &Opts) -> ExitCode {
 
 /// The `all` command: every experiment, in paper order.
 fn all(results: &[WorkloadResults], opts: &Opts) -> ExitCode {
-    emit(opts, "table1", &tables::table1(results));
-    emit(opts, "table2", &tables::table2());
-    emit(opts, "table3", &tables::table3(results));
-    emit(opts, "table4", &tables::table4(results));
-    emit_figure(results, opts, Figure::Max, "fig7");
-    emit_figure(results, opts, Figure::P90, "fig8");
-    emit_figure(results, opts, Figure::TMean, "fig9");
-    emit(opts, "breakdown", &breakdown::breakdown_table(results));
-    emit(opts, "expansion", &expansion::expansion_table(results));
-    emit(opts, "nhcoverage", &nhcoverage::coverage_table(results));
-    emit(opts, "loopopt", &loopopt::loopopt_table(results, 3));
-    emit(opts, "staticopt", &staticopt::staticopt_report(results));
-    emit(opts, "dyncp", &dyncp::dyncp_table(results));
-    ExitCode::SUCCESS
+    let emit_all = || -> Result<(), String> {
+        emit(opts, "table1", &tables::table1(results))?;
+        emit(opts, "table2", &tables::table2())?;
+        emit(opts, "table3", &tables::table3(results))?;
+        emit(opts, "table4", &tables::table4(results))?;
+        emit_figure(results, opts, Figure::Max, "fig7")?;
+        emit_figure(results, opts, Figure::P90, "fig8")?;
+        emit_figure(results, opts, Figure::TMean, "fig9")?;
+        emit(opts, "breakdown", &breakdown::breakdown_table(results))?;
+        emit(opts, "expansion", &expansion::expansion_table(results))?;
+        emit(opts, "nhcoverage", &nhcoverage::coverage_table(results))?;
+        emit(opts, "loopopt", &loopopt::loopopt_table(results, 3))?;
+        emit(opts, "staticopt", &staticopt::staticopt_report(results))?;
+        emit(opts, "dyncp", &dyncp::dyncp_table(results))
+    };
+    report(emit_all())
 }
 
 /// The `verify` command: the DESIGN.md fidelity checklist.
@@ -713,7 +724,10 @@ fn trace_cmd(args: &[String], opts: &Opts) -> ExitCode {
                 }
             };
             let buf = encode_trace_as(&trace, &meta, output);
-            std::fs::write(output, &buf).expect("write trace file");
+            if let Err(e) = std::fs::write(output, &buf) {
+                eprintln!("trace convert: cannot write {output}: {e}");
+                return ExitCode::FAILURE;
+            }
             println!(
                 "{input}: {} events -> {output} ({} bytes)",
                 trace.len(),
@@ -733,7 +747,10 @@ fn trace_cmd(args: &[String], opts: &Opts) -> ExitCode {
             let w = opts.scaled(w);
             let p = databp_workloads::prepare(&w).expect("workload runs");
             let buf = encode_trace_as(&p.trace, &[], path);
-            std::fs::write(path, &buf).expect("write trace file");
+            if let Err(e) = std::fs::write(path, &buf) {
+                eprintln!("trace: cannot write {path}: {e}");
+                return ExitCode::FAILURE;
+            }
             let st = p.trace.stats();
             println!(
                 "{}: {} events ({} writes, {} installs) -> {} ({} bytes)",
@@ -946,373 +963,6 @@ fn query_cmd(args: &[String], opts: &Opts) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The `perf` subcommand: a fully instrumented small-scale pass over
-/// every experiment. The registry is reset first, so counters reflect
-/// exactly this run (and are deterministic run to run); spans and the
-/// derived rates carry the host's wall-clock timings.
-///
-/// Each table is timed on two clocks: host wall time and *simulated
-/// cycles*, the delta of the machine's retired-instruction counter.
-/// Tables that only do arithmetic over the collected results burn zero
-/// simulated cycles; the ones that execute CodePatch (loopopt,
-/// staticopt, dyncp) show exactly how much virtual work they re-run.
-/// The deltas land in `perf.vcycles.*` counters before the snapshot is
-/// taken, so the trajectory diff tracks them like any other counter.
-///
-/// After the tables, a *service-mix* phase drives an in-process replay
-/// service with a duplicate-heavy batch so the `server.*` counters
-/// appear in the snapshot and the batch rate lands as the
-/// `server.batch_throughput` derived metric (gated by `perfgate`).
-fn perf(opts: &Opts) -> ExitCode {
-    eprintln!("running scaled-down workloads under telemetry...");
-    let vclock = || {
-        databp_telemetry::global()
-            .counter("machine.instructions.retired")
-            .get()
-    };
-    let mut vrows: Vec<(&'static str, f64, u64)> = Vec::new();
-    // Evaluates one table expression under both clocks and records the
-    // simulated-cycle delta as a `perf.vcycles.<slug>` counter.
-    macro_rules! timed {
-        ($slug:literal, $table:expr) => {{
-            let t0 = std::time::Instant::now();
-            let v0 = vclock();
-            let table = $table;
-            let dv = vclock() - v0;
-            databp_telemetry::global()
-                .counter(concat!("perf.vcycles.", $slug))
-                .add_always(dv);
-            vrows.push(($slug, t0.elapsed().as_secs_f64(), dv));
-            ($slug, table)
-        }};
-    }
-
-    let wall = std::time::Instant::now();
-    let v_start = vclock();
-    // perf takes the default streaming pipeline (its `pipeline.*`
-    // counters and spans are what the snapshot tracks) with the teed
-    // trace, because loopopt/staticopt/dyncp below re-execute against it.
-    let results = analyze_all_opts(
-        Scale::Small,
-        opts.jobs,
-        &AnalyzeOpts {
-            ladder: opts.ladder.clone(),
-            // Wider batches amortize the replay engine's cache refill
-            // per feed; ~1 MiB of buffering is still far below a
-            // materialized trace.
-            batch_events: 64 * 1024,
-            ..AnalyzeOpts::default()
-        },
-    );
-    let dv = vclock() - v_start;
-    databp_telemetry::global()
-        .counter("perf.vcycles.workloads")
-        .add_always(dv);
-    vrows.push(("workloads", wall.elapsed().as_secs_f64(), dv));
-
-    // Exercise every harness path so each `harness.*` span is recorded;
-    // the tables themselves go to the CSV dir if requested, not stdout.
-    let tables = [
-        timed!("table1", tables::table1(&results)),
-        timed!("table2", tables::table2()),
-        timed!("table3", tables::table3(&results)),
-        timed!("table4", tables::table4(&results)),
-        timed!("fig7", figure(&results, Figure::Max)),
-        timed!("fig8", figure(&results, Figure::P90)),
-        timed!("fig9", figure(&results, Figure::TMean)),
-        timed!("breakdown", breakdown::breakdown_table(&results)),
-        timed!("expansion", expansion::expansion_table(&results)),
-        timed!("nhcoverage", nhcoverage::coverage_table(&results)),
-        timed!("loopopt", loopopt::loopopt_table(&results, 3)),
-        timed!("staticopt", staticopt::staticopt_report(&results)),
-        // The bench kernels join the staticopt phase: their
-        // pointer-heavy loops are where SSA hoisting pays, and their
-        // cp.stores_* counters pool with the paper workloads' to form
-        // the gated cp.elision_rate metric.
-        timed!("staticopt-bench", {
-            let bench: Vec<WorkloadResults> = Workload::bench()
-                .into_iter()
-                .map(|w| analyze_opts(&w.scaled_down(), &AnalyzeOpts::default()))
-                .collect();
-            staticopt::staticopt_report(&bench)
-        }),
-        timed!("dyncp", dyncp::dyncp_table(&results)),
-    ];
-    if let Some(dir) = &opts.csv_dir {
-        std::fs::create_dir_all(dir).expect("create csv dir");
-        for (slug, table) in &tables {
-            std::fs::write(dir.join(format!("{slug}.csv")), table.render_csv()).expect("write csv");
-        }
-    }
-
-    // Service-mix phase: the same duplicate-heavy batch the CI smoke
-    // step sends, driven through a fresh in-process service. Two
-    // distinct workloads trace (cache misses), the duplicates hit, and
-    // one widened ladder forces a rewalk — so every `server.cache.*`
-    // counter is exercised and lands in the snapshot below.
-    let batch_secs = {
-        let t0 = std::time::Instant::now();
-        let v0 = vclock();
-        let server = Server::start(ServerConfig {
-            workers: opts.jobs.clamp(1, 4),
-            ..ServerConfig::default()
-        });
-        let mut batch = vec![
-            Request::simple("mix1", "cc", Scale::Small),
-            Request::simple("mix2", "tex", Scale::Small),
-            Request::simple("mix3", "cc", Scale::Small),
-            Request::simple("mix4", "tex", Scale::Small),
-            Request::simple("mix5", "cc", Scale::Small),
-        ];
-        batch[4].page_sizes = vec![PageSize::K16]; // rewalk, not re-trace
-        let n = batch.len();
-        let responses = server.submit_batch(batch);
-        let failed = responses.iter().filter(|r| !r.ok).count();
-        if failed > 0 {
-            eprintln!("perf: {failed}/{n} service-mix requests failed");
-        }
-        server.shutdown();
-        let secs = t0.elapsed().as_secs_f64();
-        vrows.push(("server-mix", secs, vclock() - v0));
-        secs
-    };
-
-    // Bench-corpus replay phase: trace the four benchmark workloads,
-    // round-trip each trace through a TraceStore (so the
-    // `trace.store.*` counters land in the snapshot), and replay the
-    // *loaded* trace at a three-size ladder. The `sim.replay` span this
-    // accumulates — together with the Table 1 replays above — is the
-    // lane-packed engine's gated latency metric.
-    {
-        let t0 = std::time::Instant::now();
-        let v0 = vclock();
-        let dir = std::env::temp_dir().join(format!("databp-perf-store-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = databp_trace::TraceStore::open(&dir).expect("open perf trace store");
-        for w in Workload::bench() {
-            let w = w.scaled_down();
-            let p = databp_workloads::prepare(&w).expect("workload runs");
-            let key = p.workload.workload_hash();
-            store.save(key, &p.trace, &[]).expect("save bench trace");
-            let (trace, _meta) = store
-                .load(key)
-                .expect("load bench trace")
-                .expect("entry exists");
-            assert_eq!(trace.len(), p.trace.len(), "store round-trip lost events");
-            let _ = databp_harness::reanalyze(&p, &[PageSize::K4, PageSize::K8, PageSize::K16]);
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-        vrows.push(("bench-replay", t0.elapsed().as_secs_f64(), vclock() - v0));
-    }
-
-    // Predicate phase: one online trace query plus a predicated
-    // CodePatch pass over a bench kernel, so the inline-check predicate
-    // counters (`cp.pred_filtered`, `cp.pred_fired`) land in the
-    // snapshot and the trajectory diff tracks them.
-    {
-        let t0 = std::time::Instant::now();
-        let v0 = vclock();
-        let w = Workload::by_name("fib")
-            .expect("bench workload exists")
-            .scaled_down();
-        let p = databp_workloads::prepare(&w).expect("workload runs");
-        let debug = &p.plain.debug;
-        let writers = databp_core::WriterMap::from_debug(debug);
-        databp_sim::run_query(
-            "count if value > 5",
-            p.trace.events(),
-            |n| debug.func_id(n),
-            writers,
-        )
-        .expect("perf query runs");
-        let build = p.codepatch();
-        let pred = databp_core::Predicate::parse("value > 5")
-            .expect("perf predicate parses")
-            .compile(|n| build.debug.func_id(n))
-            .expect("perf predicate compiles");
-        let mut m = databp_machine::Machine::new();
-        m.load(&build.program);
-        m.set_args(w.args.clone());
-        databp_core::CodePatch::default()
-            .with_predicate(pred)
-            .run(
-                &mut m,
-                &build.debug,
-                &databp_core::MonitorEverything,
-                w.max_steps * 2,
-            )
-            .expect("predicated CodePatch run");
-        vrows.push(("predicates", t0.elapsed().as_secs_f64(), vclock() - v0));
-    }
-
-    // Query phase: the same query mix over the bench corpus' cached
-    // columnar traces, answered twice from the encoded bytes — once by
-    // full decode + the event-at-a-time engine (what the server's query
-    // path did before pushdown), once by the zone-mapped pushdown scan
-    // — so the snapshot carries both `query.ns_per_event` (pushdown,
-    // gated) and `query.fullscan_ns_per_event` (baseline), plus the
-    // `query.blocks_scanned` / `query.blocks_skipped` counters the CI
-    // smoke step pins nonzero.
-    let query_rates = {
-        let t0 = std::time::Instant::now();
-        let v0 = vclock();
-        const QUERIES: &[&str] = &[
-            "count",
-            "count if value > 100000000",
-            "count if value > 1000",
-            "first if value > 100000000",
-            "hist if old < 16",
-        ];
-        const REPS: u32 = 5;
-        let corpus: Vec<databp_workloads::Prepared> = Workload::bench()
-            .into_iter()
-            .map(|w| databp_workloads::prepare(&w.scaled_down()).expect("workload runs"))
-            .collect();
-        let mut full_ns = 0u64;
-        let mut push_ns = 0u64;
-        let mut events = 0u64;
-        for p in &corpus {
-            let debug = &p.plain.debug;
-            let writers = databp_core::WriterMap::from_debug(debug);
-            let bytes = p.columnar_bytes().clone();
-            for q in QUERIES {
-                for _ in 0..REPS {
-                    let t = std::time::Instant::now();
-                    let (decoded, _) =
-                        databp_trace::read_columnar(&bytes).expect("perf trace decodes");
-                    let full = databp_sim::run_query(
-                        q,
-                        decoded.events(),
-                        |n| debug.func_id(n),
-                        writers.clone(),
-                    )
-                    .expect("perf query runs");
-                    full_ns += t.elapsed().as_nanos() as u64;
-                    let t = std::time::Instant::now();
-                    let (pushed, _) =
-                        databp_sim::scan_query(&bytes, q, |n| debug.func_id(n), &writers, 1)
-                            .expect("perf pushdown query runs");
-                    push_ns += t.elapsed().as_nanos() as u64;
-                    assert_eq!(
-                        pushed, full,
-                        "pushdown diverged on `{q}` over {}",
-                        p.workload.name
-                    );
-                    events += p.trace.len() as u64;
-                }
-            }
-        }
-        vrows.push(("queries", t0.elapsed().as_secs_f64(), vclock() - v0));
-        (events, full_ns, push_ns)
-    };
-    let wall_secs = wall.elapsed().as_secs_f64();
-    eprintln!("workloads done in {wall_secs:.2}s.\n");
-
-    let mut vt = TextTable::new(
-        "per-phase wall-clock and simulated cycles (retired instructions)",
-        &["phase", "wall", "simulated cycles"],
-    );
-    for (slug, secs, dv) in &vrows {
-        vt.row(vec![
-            slug.to_string(),
-            format!("{:.1}ms", secs * 1e3),
-            dv.to_string(),
-        ]);
-    }
-
-    let mut snap = databp_telemetry::global().snapshot();
-    let instructions = snap.counter("machine.instructions.retired").unwrap_or(0);
-    let events = snap.counter("sim.events.replayed").unwrap_or(0);
-    let replay_secs = snap
-        .span("sim.replay")
-        .map_or(0.0, |s| s.total_ns as f64 / 1e9);
-    snap.push_derived("wall_seconds", wall_secs);
-    if replay_secs > 0.0 {
-        snap.push_derived("events_per_sec", events as f64 / replay_secs);
-    }
-    if wall_secs > 0.0 {
-        snap.push_derived("instructions_per_sec", instructions as f64 / wall_secs);
-    }
-    if batch_secs > 0.0 {
-        snap.push_derived("server.batch_throughput", 5.0 / batch_secs);
-    }
-    // Static-elision effectiveness over the staticopt phases (paper +
-    // bench corpus): the fraction of traced stores — each counted once,
-    // in the plain-CP baseline run — whose check the optimized variant
-    // either statically elided or skipped behind a dominating preheader
-    // guard. Matches the staticopt TOTAL row's rate column. Gated by
-    // `perfgate` — the analysis must not silently lose precision.
-    let traced = snap.counter("staticopt.stores_base").unwrap_or(0);
-    let elided = snap.counter("staticopt.stores_elided").unwrap_or(0);
-    let hoisted = snap.counter("staticopt.stores_hoisted").unwrap_or(0);
-    if traced > 0 {
-        snap.push_derived("cp.elision_rate", (elided + hoisted) as f64 / traced as f64);
-    }
-    // Query-pushdown latency over the bench corpus (lower is better,
-    // gated) against its own full-scan baseline; the speedup ratio is
-    // the acceptance headline.
-    let (q_events, q_full_ns, q_push_ns) = query_rates;
-    if q_events > 0 {
-        snap.push_derived("query.ns_per_event", q_push_ns as f64 / q_events as f64);
-        snap.push_derived(
-            "query.fullscan_ns_per_event",
-            q_full_ns as f64 / q_events as f64,
-        );
-        if q_push_ns > 0 {
-            snap.push_derived("query.speedup", q_full_ns as f64 / q_push_ns as f64);
-        }
-    }
-
-    let fmt = opts.telemetry.unwrap_or(TelemetryFormat::Text);
-    // The dual-clock table is commentary; keep stdout machine-readable
-    // when a structured snapshot format was requested.
-    if matches!(fmt, TelemetryFormat::Text) {
-        println!("{}", vt.render());
-    } else {
-        eprintln!("{}", vt.render());
-    }
-    print!("{}", fmt.render(&snap));
-
-    // Tracked regression baseline: the previous snapshot (if any) moves
-    // to results/perf.prev.json and a counter/span diff is printed, so
-    // each run shows its trajectory against the last one.
-    if let Err(e) = std::fs::create_dir_all("results") {
-        eprintln!("perf: cannot create results dir: {e}");
-        return ExitCode::FAILURE;
-    }
-    match load_snapshot("results/perf.json") {
-        Ok(Some((baseline, text))) => {
-            if let Err(e) = std::fs::write("results/perf.prev.json", text) {
-                eprintln!("perf: cannot write results/perf.prev.json: {e}");
-                return ExitCode::FAILURE;
-            }
-            let diff = perf_diff(&baseline, &snap).render();
-            // With a machine-readable snapshot format on stdout, the diff
-            // table is progress commentary and belongs on stderr.
-            if matches!(fmt, TelemetryFormat::Text) {
-                println!("{diff}");
-            } else {
-                eprintln!("{diff}");
-            }
-        }
-        Ok(None) => {
-            // First run: nothing to diff against is a clean start, not
-            // an error.
-            eprintln!(
-                "(no previous results/perf.json — baseline created; run `repro perf` again \
-                 for a trajectory diff)"
-            );
-        }
-        Err(e) => eprintln!("(ignoring previous results/perf.json: {e})"),
-    }
-    if let Err(e) = std::fs::write("results/perf.json", snap.to_json()) {
-        eprintln!("perf: cannot write results/perf.json: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("(snapshot written to results/perf.json; baseline kept in results/perf.prev.json)");
-    ExitCode::SUCCESS
-}
-
 /// The `ladder` subcommand's table: per-workload, per-page-size sums of
 /// the size-dependent counting variables. Hits and misses are
 /// page-size-independent (one column each); the VM columns show how the
@@ -1351,272 +1001,9 @@ fn ladder_table(results: &[WorkloadResults]) -> TextTable {
     t
 }
 
-/// Loads a telemetry snapshot from `path`. `Ok(None)` means the file
-/// does not exist (a fresh checkout — callers treat it as "no
-/// baseline"); `Err` means it exists but cannot be read or parsed
-/// (corrupt or truncated — reported cleanly, never a panic). The raw
-/// text rides along for callers that rotate the file.
-fn load_snapshot(path: &str) -> Result<Option<(Snapshot, String)>, String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(format!("cannot read {path}: {e}")),
-    };
-    match Snapshot::from_json(&text) {
-        Ok(s) => Ok(Some((s, text))),
-        Err(e) => Err(format!("unparsable {path}: {e}")),
-    }
-}
-
-/// Where a gated metric's value comes from in a snapshot.
-#[derive(Clone, Copy)]
-enum Source {
-    /// The named span's `total_ns`.
-    Span,
-    /// The named derived value.
-    Derived,
-}
-
-/// How a gated metric's value prints.
-#[derive(Clone, Copy)]
-enum Unit {
-    /// Nanoseconds, printed as milliseconds.
-    Ms,
-    /// Requests per second.
-    ReqPerSec,
-    /// A ratio, printed as a percentage.
-    Percent,
-    /// Nanoseconds.
-    Ns,
-}
-
-impl Unit {
-    fn show(self, v: f64) -> String {
-        match self {
-            Unit::Ms => format!("{:.3}ms", v / 1e6),
-            Unit::ReqPerSec => format!("{v:.2}req/s"),
-            Unit::Percent => format!("{:.1}%", v * 100.0),
-            Unit::Ns => format!("{v:.2}ns"),
-        }
-    }
-}
-
-/// Which way a gated metric is allowed to move.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Better {
-    Lower,
-    Higher,
-}
-
-/// One row of the perf gate table.
-struct Gate {
-    name: &'static str,
-    source: Source,
-    unit: Unit,
-    better: Better,
-}
-
-/// What `repro perfgate` checks, one row per metric.
-#[rustfmt::skip]
-const GATES: &[Gate] = &[
-    // One-shot pipeline latency.
-    Gate { name: "harness.analyze", source: Source::Span, unit: Unit::Ms, better: Better::Lower },
-    // Lane-packed replay latency: every phase-2 walk of the perf run,
-    // the Table 1 streamed replays plus the bench-corpus replay phase.
-    Gate { name: "sim.replay", source: Source::Span, unit: Unit::Ms, better: Better::Lower },
-    // Service-mix batch throughput.
-    Gate {
-        name: "server.batch_throughput",
-        source: Source::Derived, unit: Unit::ReqPerSec, better: Better::Higher,
-    },
-    // Static check elision rate: a looser alias analysis or a broken
-    // hoist planner silently re-checking stores is a regression even
-    // though every run still passes its soundness oracle.
-    Gate {
-        name: "cp.elision_rate",
-        source: Source::Derived, unit: Unit::Percent, better: Better::Higher,
-    },
-    // Query-pushdown latency over the bench corpus: losing block
-    // skipping or lazy column decode shows up here.
-    Gate {
-        name: "query.ns_per_event",
-        source: Source::Derived, unit: Unit::Ns, better: Better::Lower,
-    },
-];
-
-impl Gate {
-    fn value(&self, snap: &Snapshot) -> Option<f64> {
-        match self.source {
-            Source::Span => snap.span(self.name).map(|s| s.total_ns as f64),
-            Source::Derived => snap
-                .derived
-                .iter()
-                .find(|(n, _)| n == self.name)
-                .map(|&(_, v)| v),
-        }
-    }
-}
-
-/// One gate's verdict.
-struct GateResult {
-    gate: &'static Gate,
-    /// `prev -> cur (change%)`, or `None` when either snapshot lacks
-    /// the metric (or the baseline is zero) and the gate is skipped.
-    line: Option<String>,
-    failed: bool,
-}
-
-/// Checks every row of [`GATES`]: a gate fails when its metric moved
-/// in the bad direction by more than `tolerance` percent.
-fn evaluate_gates(prev: &Snapshot, cur: &Snapshot, tolerance: f64) -> Vec<GateResult> {
-    GATES
-        .iter()
-        .map(|gate| match (gate.value(prev), gate.value(cur)) {
-            (Some(p), Some(c)) if p > 0.0 => {
-                let change = (c - p) / p * 100.0;
-                let (sign, failed) = match gate.better {
-                    Better::Lower => ('+', change > tolerance),
-                    Better::Higher => ('-', change < -tolerance),
-                };
-                let line = format!(
-                    "{} {} -> {} ({change:+.1}%), tolerance {sign}{tolerance:.0}%",
-                    gate.name,
-                    gate.unit.show(p),
-                    gate.unit.show(c)
-                );
-                GateResult {
-                    gate,
-                    line: Some(line),
-                    failed,
-                }
-            }
-            _ => GateResult {
-                gate,
-                line: None,
-                failed: false,
-            },
-        })
-        .collect()
-}
-
-/// The `perfgate` subcommand: CI's perf-smoke gate. Compares
-/// results/perf.json against results/perf.prev.json through [`GATES`]
-/// at a tolerance of `PERF_GATE_TOLERANCE_PCT` percent (default 25). A
-/// missing or unparsable snapshot on either side passes — a fresh
-/// checkout has no baseline, and that must not break the build.
-fn perfgate() -> ExitCode {
-    let tolerance: f64 = std::env::var("PERF_GATE_TOLERANCE_PCT")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(25.0);
-    let load = |path: &str| -> Option<Snapshot> {
-        match load_snapshot(path) {
-            Ok(Some((snap, _))) => Some(snap),
-            Ok(None) => {
-                eprintln!("perfgate: no {path} — pass (run `repro perf` twice to arm the gate)");
-                None
-            }
-            Err(e) => {
-                eprintln!("perfgate: {e} — pass");
-                None
-            }
-        }
-    };
-    let (Some(cur), Some(prev)) = (load("results/perf.json"), load("results/perf.prev.json"))
-    else {
-        return ExitCode::SUCCESS;
-    };
-    let mut failed = false;
-    for r in evaluate_gates(&prev, &cur, tolerance) {
-        let name = r.gate.name;
-        match r.line {
-            Some(line) => println!("perfgate: {line}"),
-            None => eprintln!("perfgate: no {name} baseline — gate skipped"),
-        }
-        if r.failed {
-            let moved = match r.gate.better {
-                Better::Lower => "regressed",
-                Better::Higher => "dropped",
-            };
-            eprintln!("perfgate: FAIL — {name} {moved} beyond the tolerance");
-            failed = true;
-        }
-    }
-    if failed {
-        return ExitCode::FAILURE;
-    }
-    println!("perfgate: ok");
-    ExitCode::SUCCESS
-}
-
-/// Counter and span trajectory between two `repro perf` snapshots.
-///
-/// Counters are compared by value; spans by total wall time (count
-/// alongside). Rows appear for every name in either snapshot, in the
-/// snapshots' own (sorted) order, so the table is deterministic.
-fn perf_diff(prev: &Snapshot, cur: &Snapshot) -> TextTable {
-    let mut t = TextTable::new(
-        "perf trajectory vs previous results/perf.json",
-        &["metric", "previous", "current", "change"],
-    );
-    let pct = |old: f64, new: f64| -> String {
-        if old == 0.0 {
-            if new == 0.0 {
-                "=".to_string()
-            } else {
-                "new".to_string()
-            }
-        } else {
-            format!("{:+.1}%", (new - old) / old * 100.0)
-        }
-    };
-    let mut counter_names: Vec<&str> = prev
-        .counters
-        .iter()
-        .chain(&cur.counters)
-        .map(|(n, _)| n.as_str())
-        .collect();
-    counter_names.sort_unstable();
-    counter_names.dedup();
-    for name in counter_names {
-        let old = prev.counter(name).unwrap_or(0);
-        let new = cur.counter(name).unwrap_or(0);
-        t.row(vec![
-            format!("counter {name}"),
-            old.to_string(),
-            new.to_string(),
-            pct(old as f64, new as f64),
-        ]);
-    }
-    let mut span_names: Vec<&str> = prev
-        .spans
-        .iter()
-        .chain(&cur.spans)
-        .map(|s| s.name.as_str())
-        .collect();
-    span_names.sort_unstable();
-    span_names.dedup();
-    for name in span_names {
-        let (old_ms, old_n) = prev
-            .span(name)
-            .map_or((0.0, 0), |s| (s.total_ns as f64 / 1e6, s.count));
-        let (new_ms, new_n) = cur
-            .span(name)
-            .map_or((0.0, 0), |s| (s.total_ns as f64 / 1e6, s.count));
-        t.row(vec![
-            format!("span {name}"),
-            format!("{old_ms:.3}ms /{old_n}"),
-            format!("{new_ms:.3}ms /{new_n}"),
-            pct(old_ms, new_ms),
-        ]);
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use databp_telemetry::SpanSnapshot;
 
     #[test]
     fn every_command_reaches_a_handler() {
@@ -1634,96 +1021,5 @@ mod tests {
         }
         assert!(command("bogus").is_none());
         assert!(text.lines().all(|l| l.chars().count() <= 80), "{text}");
-    }
-
-    /// The five gates restated independently of [`GATES`]: name,
-    /// whether the metric is a span (else a derived value), and whether
-    /// lower is better.
-    const EXPECTED_GATES: &[(&str, bool, bool)] = &[
-        ("harness.analyze", true, true),
-        ("sim.replay", true, true),
-        ("server.batch_throughput", false, false),
-        ("cp.elision_rate", false, false),
-        ("query.ns_per_event", false, true),
-    ];
-
-    fn snapshot_with(name: &str, is_span: bool, value: f64) -> Snapshot {
-        let mut snap = Snapshot::default();
-        if is_span {
-            snap.spans.push(SpanSnapshot {
-                name: name.to_string(),
-                count: 1,
-                total_ns: value as u64,
-            });
-        } else {
-            snap.derived.push((name.to_string(), value));
-        }
-        snap
-    }
-
-    /// Evaluates the gates on a pair where only `name` is present and
-    /// returns its result: `(line printed, failed)`.
-    fn gate(name: &str, is_span: bool, prev: f64, cur: f64) -> (bool, bool) {
-        let prev = snapshot_with(name, is_span, prev);
-        let cur = snapshot_with(name, is_span, cur);
-        let results = evaluate_gates(&prev, &cur, 25.0);
-        assert_eq!(results.len(), GATES.len());
-        let mut mine = None;
-        for r in results {
-            if r.gate.name == name {
-                mine = Some((r.line.is_some(), r.failed));
-            } else {
-                assert!(r.line.is_none() && !r.failed, "{} not skipped", r.gate.name);
-            }
-        }
-        mine.expect("gate is in the table")
-    }
-
-    #[test]
-    fn gate_table_holds_the_five_gates() {
-        let names: Vec<&str> = GATES.iter().map(|g| g.name).collect();
-        let expected: Vec<&str> = EXPECTED_GATES.iter().map(|g| g.0).collect();
-        assert_eq!(names, expected);
-    }
-
-    #[test]
-    fn gates_fail_beyond_the_tolerance_in_their_bad_direction() {
-        for &(name, is_span, lower_better) in EXPECTED_GATES {
-            let worse = if lower_better { 1.3 } else { 0.7 };
-            assert_eq!(
-                gate(name, is_span, 1e6, 1e6 * worse),
-                (true, true),
-                "{name}"
-            );
-        }
-    }
-
-    #[test]
-    fn gates_pass_within_the_tolerance_and_in_their_good_direction() {
-        for &(name, is_span, lower_better) in EXPECTED_GATES {
-            let (within, better) = if lower_better { (1.2, 0.5) } else { (0.8, 1.5) };
-            assert_eq!(
-                gate(name, is_span, 1e6, 1e6 * within),
-                (true, false),
-                "{name}"
-            );
-            assert_eq!(
-                gate(name, is_span, 1e6, 1e6 * better),
-                (true, false),
-                "{name}"
-            );
-        }
-    }
-
-    #[test]
-    fn gates_skip_a_missing_metric() {
-        for &(name, is_span, _) in EXPECTED_GATES {
-            let present = snapshot_with(name, is_span, 1e6);
-            let empty = Snapshot::default();
-            for (prev, cur) in [(&present, &empty), (&empty, &present)] {
-                let r = evaluate_gates(prev, cur, 25.0);
-                assert!(r.iter().all(|r| r.line.is_none() && !r.failed), "{name}");
-            }
-        }
     }
 }

@@ -8,9 +8,9 @@
 //!
 //! * **miss** — first sight of this workload: run the streamed
 //!   trace→replay pipeline once
-//!   ([`analyze_opts`](databp_harness::analyze_opts) with
-//!   `keep_trace`), cache the results *with* the materialized trace,
-//!   render the body.
+//!   ([`analyze_opts`](databp_harness::analyze_opts), which tees the
+//!   trace), cache the results *with* the materialized trace, render
+//!   the body.
 //! * **hit** — the cached ladder covers the request: render straight
 //!   from cache. No phase-1, no phase-2, no trace walk at all.
 //! * **rewalk** — cached, but the request wants page sizes the cached
@@ -328,7 +328,6 @@ impl Server {
                 stats.cache_misses.fetch_add(1, Ordering::Relaxed);
                 let opts = AnalyzeOpts {
                     stream: cfg.stream,
-                    keep_trace: true, // the cache IS the trace owner
                     ladder: req.page_sizes.clone(),
                     ..AnalyzeOpts::default()
                 };

@@ -1,9 +1,9 @@
 //! The workspace's one JSON value, reader and writer.
 //!
 //! The workspace deliberately vendors no serde. This module serves both
-//! JSON surfaces: telemetry snapshots ([`crate::Snapshot::to_json`] /
-//! [`crate::Snapshot::from_json`]) and the replay service's
-//! line-delimited wire protocol (re-exported as `databp_server::json`).
+//! JSON surfaces: telemetry snapshots ([`crate::Snapshot::to_json`]) and
+//! the replay service's line-delimited wire protocol (re-exported as
+//! `databp_server::json`).
 //! It is an ordered [`Value`] tree with a recursive-descent parser and a
 //! compact writer. Three properties matter:
 //!

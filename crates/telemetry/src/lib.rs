@@ -12,10 +12,9 @@
 //! * [`Span`] — scoped wall-time timer (count + total nanoseconds);
 //!
 //! — registered by `&'static str` name in a [`Registry`], with a process
-//! [`global()`] registry, and [`Snapshot`] export to text, CSV, and JSON
-//! (the latter two parse back for round-trip tests). The [`json`]
-//! module is the workspace's one JSON reader/writer; the replay
-//! service's wire protocol uses it too.
+//! [`global()`] registry, and [`Snapshot`] export to text, CSV, and
+//! JSON. The [`json`] module is the workspace's one JSON reader/writer;
+//! the replay service's wire protocol uses it too.
 //!
 //! # Overhead policy
 //!
@@ -54,7 +53,7 @@ mod span;
 
 pub use metric::{Counter, Gauge, Histogram};
 pub use registry::Registry;
-pub use snapshot::{BucketSnapshot, HistogramSnapshot, ParseError, Snapshot, SpanSnapshot};
+pub use snapshot::{BucketSnapshot, HistogramSnapshot, Snapshot, SpanSnapshot};
 pub use span::{Span, SpanGuard};
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -97,7 +97,6 @@ impl Registry {
                     total_ns: s.total_ns(),
                 })
                 .collect(),
-            derived: Vec::new(),
         }
     }
 

@@ -197,51 +197,49 @@ impl Drop for BatchReceiver {
 }
 
 /// An [`EventSink`] that streams events into a [`batch_channel`] in
-/// fixed-size batches, optionally teeing a materialized [`Trace`] copy
-/// for consumers that still need the full event list afterwards (e.g.
-/// the static-elision soundness check).
+/// fixed-size batches, teeing a materialized [`Trace`] copy for
+/// consumers that still need the full event list afterwards (e.g. the
+/// static-elision soundness check and the replay service's cache).
 #[derive(Debug)]
 pub struct StreamSink {
     tx: BatchSender,
     batch: EventBatch,
     capacity: usize,
-    tee: Option<Trace>,
+    tee: Trace,
 }
 
 impl StreamSink {
-    /// A sink sending batches of up to `capacity` events through `tx`;
-    /// with `tee`, a full [`Trace`] copy is kept and returned by
+    /// A sink sending batches of up to `capacity` events through `tx`
+    /// and keeping a full [`Trace`] copy, returned by
     /// [`StreamSink::close`].
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(tx: BatchSender, capacity: usize, tee: bool) -> Self {
+    pub fn new(tx: BatchSender, capacity: usize) -> Self {
         assert!(capacity > 0, "stream batch capacity must be nonzero");
         StreamSink {
             batch: tx.take_spare(),
             tx,
             capacity,
-            tee: tee.then(Trace::new),
+            tee: Trace::new(),
         }
     }
 
     /// Flushes the tail batch and closes the channel (the sender drops
-    /// here), returning the teed trace if one was requested.
-    pub fn close(mut self) -> Option<Trace> {
+    /// here), returning the teed trace.
+    pub fn close(mut self) -> Trace {
         if !self.batch.is_empty() {
             let batch = std::mem::take(&mut self.batch);
             self.tx.send(batch);
         }
-        self.tee.take()
+        self.tee
     }
 }
 
 impl EventSink for StreamSink {
     fn emit(&mut self, ev: Event) {
-        if let Some(t) = &mut self.tee {
-            t.push(ev);
-        }
+        self.tee.push(ev);
         self.batch.events.push(ev);
         if self.batch.len() == self.capacity {
             let full = std::mem::replace(&mut self.batch, self.tx.take_spare());
@@ -268,7 +266,7 @@ mod tests {
     #[test]
     fn batches_arrive_in_order_and_end_of_stream_after_close() {
         let (tx, rx) = batch_channel(2);
-        let mut sink = StreamSink::new(tx, 3, false);
+        let mut sink = StreamSink::new(tx, 3);
         let events: Vec<Event> = (0..8).map(|i| w(i * 4)).collect();
         let consumer = std::thread::spawn(move || {
             let mut got = Vec::new();
@@ -281,14 +279,14 @@ mod tests {
         for &ev in &events {
             sink.emit(ev);
         }
-        assert_eq!(sink.close(), None);
+        sink.close();
         assert_eq!(consumer.join().unwrap(), events);
     }
 
     #[test]
     fn tee_keeps_a_full_trace_copy() {
         let (tx, rx) = batch_channel(4);
-        let mut sink = StreamSink::new(tx, 2, true);
+        let mut sink = StreamSink::new(tx, 2);
         let events = vec![
             Event::Install {
                 obj: ObjectDesc::Global { id: 0 },
@@ -309,7 +307,7 @@ mod tests {
         for &ev in &events {
             sink.emit(ev);
         }
-        let tee = sink.close().expect("tee requested");
+        let tee = sink.close();
         assert_eq!(tee.events(), events.as_slice());
         assert_eq!(consumer.join().unwrap(), events.len());
     }
@@ -318,7 +316,7 @@ mod tests {
     fn backpressure_blocks_producer_until_consumer_drains() {
         // Depth-1 channel, slow consumer: every batch must still arrive.
         let (tx, rx) = batch_channel(1);
-        let mut sink = StreamSink::new(tx, 1, false);
+        let mut sink = StreamSink::new(tx, 1);
         let consumer = std::thread::spawn(move || {
             let mut got = Vec::new();
             while let Some(b) = rx.recv() {

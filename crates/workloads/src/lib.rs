@@ -97,8 +97,8 @@ impl Workload {
     /// matrix multiply, deep recursion, heap record churn, bit
     /// twiddling) ported to `tinyc`. These are **not** part of the
     /// paper's Table 1 set ([`Workload::all`]) — they exist to feed the
-    /// vectorized replay path traces with contrasting event mixes, and
-    /// `repro perf` times `sim.replay` over them.
+    /// vectorized replay path traces with contrasting event mixes (the
+    /// benchmark's `monitor` workload and `repro staticopt` use them too).
     pub fn bench() -> Vec<Workload> {
         vec![
             Workload {
