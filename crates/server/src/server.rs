@@ -262,23 +262,24 @@ impl Server {
     ) -> Response {
         stats.requests.fetch_add(1, Ordering::Relaxed);
         databp_telemetry::count!("server.requests");
-        let result =
-            std::panic::catch_unwind(AssertUnwindSafe(|| Server::answer(cfg, cache, stats, req)));
-        match result {
-            Ok(Ok((status, results))) => {
-                if req.query.is_some() {
-                    databp_telemetry::count!("server.trace_queries");
-                    match query_body_for(req, &results, cfg.workers.max(1)) {
-                        Ok(body) => Response::success(&req.id, status, body),
-                        Err(msg) => {
-                            stats.errors.fetch_add(1, Ordering::Relaxed);
-                            Response::failure(&req.id, msg)
-                        }
-                    }
-                } else {
-                    Response::success(&req.id, status, body_for(req, &results))
-                }
+        // Resolve and render under one `catch_unwind`: a panic in either
+        // must still answer, or the ticket's waiter blocks forever.
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let (status, results) = Server::answer(cfg, cache, stats, req)?;
+            #[cfg(test)]
+            if req.id == tests::RENDER_FAULT_ID {
+                panic!("injected render fault");
             }
+            let body = if req.query.is_some() {
+                databp_telemetry::count!("server.trace_queries");
+                query_body_for(req, &results, cfg.workers.max(1))?
+            } else {
+                body_for(req, &results)
+            };
+            Ok::<_, String>((status, body))
+        }));
+        match result {
+            Ok(Ok((status, body))) => Response::success(&req.id, status, body),
             Ok(Err(msg)) => {
                 stats.errors.fetch_add(1, Ordering::Relaxed);
                 Response::failure(&req.id, msg)
@@ -504,6 +505,10 @@ mod tests {
     use super::*;
     use databp_harness::Scale;
 
+    /// A request with this id panics after its cache outcome is
+    /// resolved, while its answer is being rendered.
+    pub(super) const RENDER_FAULT_ID: &str = "render-fault";
+
     fn tiny_server(workers: usize) -> Server {
         Server::start(ServerConfig {
             workers,
@@ -654,6 +659,34 @@ mod tests {
         let json = first.body.as_ref().unwrap().to_json();
         assert!(json.contains(r#""kind":"count""#), "{json}");
         server.shutdown();
+    }
+
+    #[test]
+    fn a_render_panic_answers_and_leaves_the_server_clean() {
+        let faulted = tiny_server(1);
+        let fault = Request::simple(RENDER_FAULT_ID, "cc", Scale::Small);
+        let resp = faulted.submit(fault).unwrap().wait();
+        assert!(!resp.ok);
+        assert!(
+            resp.error.as_deref().unwrap().starts_with("internal error"),
+            "{:?}",
+            resp.error
+        );
+        assert_eq!(faulted.stats().errors, 1);
+        // The fault struck after the trace was cached, so the next
+        // request is a hit; a clean server that traced cc once before
+        // must give the very same response line.
+        let next = Request::simple("next", "cc", Scale::Small);
+        let after = faulted.submit(next.clone()).unwrap().wait();
+        let clean = tiny_server(1);
+        clean
+            .submit(Request::simple("first", "cc", Scale::Small))
+            .unwrap()
+            .wait();
+        let want = clean.submit(next).unwrap().wait();
+        assert_eq!(after.to_json_line(), want.to_json_line());
+        faulted.shutdown();
+        clean.shutdown();
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //! — and an instance found at level `m` is touched at exactly the sizes
 //! `m..n`. Page-derived protection state (`vm_protect` /
 //! `vm_unprotect` / active-page-miss tallies) stays per size; the
-//! instance slab, membership interning, and install/remove/hit/miss
-//! accounting are shared, so the dominant replay work is paid once
-//! regardless of ladder length.
+//! interned page contents, membership interning, and
+//! install/remove/hit/miss accounting are shared, so the dominant replay
+//! work is paid once regardless of ladder length.
 //!
 //! # Lane-packed session sweep
 //!
@@ -42,38 +42,57 @@
 //! pays per dirty word, not per session universe. Because the per-write
 //! state is all bitsets, charging is idempotent — an instance spanning
 //! several base pages may be swept more than once with no stamp
-//! bookkeeping. Each occupied base page additionally caches the *union*
-//! of its instances' member lanes (rebuilt lazily when the page's
-//! generation moves), so touch charging is one OR pass per page rather
-//! than per instance; individual instances are only walked at level 0,
-//! where byte overlap decides hits.
+//! bookkeeping. Each page content state carries the *union* of its
+//! instances' member lanes, built once when the state is interned, so
+//! touch charging is one OR pass per page rather than per instance;
+//! individual instances are only walked at level 0, where byte overlap
+//! decides hits.
+//!
+//! # Page content states
+//!
+//! What a base page holds — the multiset of `(ba, ea, members)`
+//! instances overlapping it — is interned as a *page state* with an id:
+//! equal contents have equal ids. Install and remove move each covered
+//! page to its next state through a cached `(state, instance, ±) →
+//! state` transition table, so a call that pushes a frame at the same
+//! frame pointer as the last call, or a block freed and allocated again
+//! at the same address, puts its pages back in the very state they held
+//! before — the same id, not a fresh one. The interning tables only
+//! grow while instances with fresh addresses keep arriving; once they
+//! exceed `STATE_TABLE_FLOOR` and four times the states pages held at
+//! the last collection, states no page holds are dropped and the
+//! transition table is cleared. Ids carry the collection epoch they
+//! were interned in, so a dropped state's id is never handed out again.
 //!
 //! # Memoized write effects
 //!
 //! Traced programs are loops: the same store site writes the same
-//! `(ba, ea)` span thousands of times while the monitor population on
-//! its pages is unchanged, and the per-session effect of such a write —
-//! which sessions take a `MonitorHit`, which take an active-page miss
-//! and at which minimum ladder level — is a pure function of the span
-//! and the instances living on its probed pages. The engine therefore
-//! memoizes settled effects in a `(ba, ea) → effect` table, validated
-//! by per-base-page *generations*: every install/remove bumps the
-//! generation of each base page the instance covers, and an effect is
-//! reusable iff the maximum generation over the write's probed page
-//! range still equals the snapshot taken when it was recorded. Effects
-//! are applied *deferred*: a valid memo hit only increments the
-//! effect's multiplicity, and the accumulated count is flushed into the
-//! per-session counters when the effect is superseded or at the final
-//! `counts` settle. A repeated write then costs one occupancy probe,
-//! one generation max, one hash lookup, and one increment — O(1) no
-//! matter how many sessions it touches; the full page sweep runs only
-//! for novel spans or after the monitor set on those pages actually
-//! changed. Effect session lists live in append-only arenas
-//! (`eff_hits` / `eff_apms`), so a flush is a branch-free counter walk.
-//! A superseded effect's ranges are dead; once dead entries are more
-//! than half the arenas (and more than `COMPACT_FLOOR`), the live
-//! ranges are slid down in place and re-pointed, so the arenas stay
-//! within about twice the live effect lists however long the trace.
+//! `(ba, ea)` span thousands of times, and the per-session effect of
+//! such a write — which sessions take a `MonitorHit`, which take an
+//! active-page miss and at which minimum ladder level — is a pure
+//! function of the span and the contents of its probed pages. The
+//! engine therefore memoizes settled effects in a `(ba, ea) → effect`
+//! table; an effect records the state ids of the span's probed base
+//! pages, and is reusable exactly when every probed page still holds the
+//! state it was recorded under. Monitors that come and go around the
+//! span (a call's locals, a loop's heap block) do not spoil it as long
+//! as they are back in place, or gone again, when the span is next
+//! written. Effects are applied *deferred*: a valid memo hit only
+//! increments the effect's multiplicity, and the accumulated count is
+//! flushed into the per-session counters when the effect is superseded
+//! or at the final `counts` settle. A repeated write then costs one
+//! occupancy probe, one hash lookup, a compare of a few page ids, and
+//! one increment — O(1) no matter how many sessions it touches; the
+//! full page sweep runs only for novel spans or when a probed page holds
+//! different monitors than at the span's previous write. Effect session
+//! lists live in append-only arenas (`eff_hits` / `eff_apms`), so a
+//! flush is a branch-free counter walk. A superseded effect's ranges are
+//! dead; once dead entries are more than half the arenas (and more than
+//! `COMPACT_FLOOR`), the live ranges are slid down in place and
+//! re-pointed, so the arenas stay within about twice the live effect
+//! lists however long the trace. The engine counts memo hits, stale
+//! re-sweeps, new-span sweeps, interned states and transitions in
+//! [`EngineStats`].
 //!
 //! Hits are page-size-independent by construction: a write that overlaps
 //! a monitored instance shares at least one byte with it, hence shares a
@@ -88,15 +107,17 @@
 //! entry point.
 
 use crate::membership::{Membership, SessionLanes};
-use crate::slots::SlotList;
 use crate::stream::{FixedMembership, StreamingReplay};
 use databp_machine::PageSize;
 use databp_models::Counts;
 use databp_trace::{ObjectDesc, Trace};
 use rustc_hash::FxHashMap;
+use std::sync::Arc;
 
-/// A live monitored object instance.
-#[derive(Debug, Clone, Copy)]
+/// A live monitored object instance, as page contents hold it. The
+/// derived order gives a page's instance multiset one canonical
+/// (sorted) form.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 struct Instance {
     ba: u32,
     ea: u32,
@@ -104,19 +125,63 @@ struct Instance {
     members: u32,
 }
 
+/// An interned page content: the sorted multiset of instances on one
+/// base page, and the union of their member lanes as unsorted nonzero
+/// `(word, bits)` pairs. A free slot holds no instances. The instance
+/// list is shared with the state's key in the content map.
+#[derive(Debug, Default)]
+struct PageState {
+    id: u64,
+    insts: Arc<[Instance]>,
+    union: Box<[(u32, u64)]>,
+}
+
+/// The id of the empty page content (slot 0 of epoch 0, never
+/// collected).
+const EMPTY: u64 = 0;
+
+/// Interning-table entries (states plus transitions) tolerated before
+/// unheld states are collected. The full-scale paper workloads peak at
+/// about 6K states and 6.5K transitions, well below this.
+const STATE_TABLE_FLOOR: usize = 1 << 15;
+
 /// A memoized, settled write effect: arena ranges of the sessions that
 /// hit and the sessions that take an APM (packed with their minimum
-/// ladder level), valid while the generation max over the write's
-/// probed base pages equals `gen`. `count` is the effect's multiplicity
-/// — how many writes produced it since it was last flushed into the
-/// per-session counters. Deferring the application this way makes a
-/// repeated write O(1) no matter how many sessions it touches.
+/// ladder level), valid while the write's probed base pages hold the
+/// state ids recorded at `eff_pages[pages..]`, one per probed page.
+/// `count` is the effect's multiplicity — how many writes produced it
+/// since it was last flushed into the per-session counters. Deferring
+/// the application this way makes a repeated write O(1) no matter how
+/// many sessions it touches.
 #[derive(Debug, Clone, Copy)]
 struct Effect {
-    gen: u64,
+    pages: u32,
     count: u64,
     hits: (u32, u32),
     apms: (u32, u32),
+}
+
+/// How often the engine's write memo and page-state interning did
+/// their work: the engine's own counting variables, published once per
+/// replay by [`StreamingReplay::finish`].
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct EngineStats {
+    /// Writes answered by a still-valid memoized effect.
+    pub(crate) memo_hits: u64,
+    /// Sweeps of a span whose memoized effect had gone stale.
+    pub(crate) memo_stale: u64,
+    /// Sweeps of a span written for the first time.
+    pub(crate) memo_new: u64,
+    /// Page states interned (a state collected and seen again counts
+    /// again).
+    pub(crate) states_interned: u64,
+    /// Transitions computed rather than found in the transition table.
+    pub(crate) transitions: u64,
+}
+
+/// The state ids of base pages `lo..=hi` (`EMPTY` past the index).
+fn page_ids(page_state: &[u64], lo: u32, hi: u32) -> impl Iterator<Item = u64> + '_ {
+    (lo..=hi).map(|p| page_state.get(p as usize).copied().unwrap_or(EMPTY))
 }
 
 /// APM arena entries pack `level << LEVEL_SHIFT | session`.
@@ -168,18 +233,9 @@ impl PageSessions {
     }
 }
 
-/// A lazily cached union of the member lanes of every instance on one
-/// base page, valid while `gen` equals the page's generation. The pair
-/// list is unsorted; only nonzero words appear.
-#[derive(Debug, Clone, Default)]
-struct PageUnion {
-    gen: u64,
-    pairs: Vec<(u32, u64)>,
-}
-
 /// Page-derived state for one ladder size. Only the base (smallest)
-/// size carries a page index; coarser sizes keep protection counts and
-/// active-page-miss tallies of their own but share the base walk.
+/// size carries page contents; coarser sizes keep protection counts
+/// and active-page-miss tallies of their own but share the base walk.
 struct SizeState {
     page_size: PageSize,
     /// Active member-monitor counts indexed by this size's page number.
@@ -198,32 +254,30 @@ struct SizeState {
 pub(crate) struct EngineCore {
     base_shift: u32,
     sizes: Vec<SizeState>,
-    /// Base-size page -> slab indices of instances overlapping it,
-    /// indexed directly by page number. The machine's data space is
-    /// 16 MiB, so a flat array beats hashing on the write path; it
-    /// grows on demand so synthetic traces with larger addresses stay
-    /// correct.
-    pages: Vec<SlotList>,
-    /// One bit per base page, set iff `pages[p]` is nonempty. The whole
-    /// 16 MiB space fits in 512 bytes, so the all-miss write sweep (the
-    /// overwhelmingly common case) probes L1-resident state instead of
-    /// the ~100 KiB `pages` array — which matters most when replay
-    /// interleaves with the traced run and shares its cache.
+    /// One bit per base page, set iff the page holds an instance. The
+    /// whole 16 MiB space fits in 512 bytes, so the all-miss write probe
+    /// (the overwhelmingly common case) reads L1-resident state — which
+    /// matters most when replay interleaves with the traced run and
+    /// shares its cache. It grows on demand so synthetic traces with
+    /// larger addresses stay correct.
     occ: Vec<u64>,
-    /// Per-base-page generation: the `stamp` value of the last
-    /// install/remove covering the page. Validates memoized effects and
-    /// cached page unions.
-    page_gen: Vec<u64>,
-    /// Per-base-page cached union of the member lanes of every instance
-    /// on the page, rebuilt lazily when the page's generation moves.
-    /// Lets the sweep charge a whole page's touch in one pair walk
-    /// instead of one walk per instance.
-    page_union: Vec<PageUnion>,
-    /// Slab of live instances; `None` slots are free.
-    instances: Vec<Option<Instance>>,
-    free: Vec<u32>,
+    /// Base page -> id of the state it holds, indexed directly by page
+    /// number (`occ.len() * 64` entries; `EMPTY` where `occ` is clear).
+    page_state: Vec<u64>,
+    /// Interned page states, indexed by slot (an id's low half).
+    states: Vec<PageState>,
+    /// Instance multiset -> slot, for every interned state.
+    state_ids: FxHashMap<Arc<[Instance]>, u32>,
+    /// Cached transitions: `(from slot, install?, instance) -> to id`.
+    transitions: FxHashMap<(u32, bool, Instance), u64>,
+    /// Slots freed by collections, reused by later interning.
+    free_states: Vec<u32>,
+    /// Collections so far: an id's high half, so an id is never reused.
+    epoch: u64,
+    /// Interning-table size that triggers the next collection.
+    table_limit: usize,
     /// Live lookup by (object, install base address).
-    live: FxHashMap<(ObjectDesc, u32), u32>,
+    live: FxHashMap<(ObjectDesc, u32), Instance>,
     /// Interned membership lane sets (see [`EngineCore::intern`]).
     member_lanes: Vec<SessionLanes>,
     // Per-session accumulators (page-size-independent).
@@ -244,8 +298,8 @@ pub(crate) struct EngineCore {
     /// Scratch: lane words dirtied by the current write (reused).
     dirty: Vec<u32>,
     /// Memoized write effects keyed by `ba << 32 | ea`; the value
-    /// indexes `effects`, so revalidating a stale entry after an
-    /// install/remove overwrites in place without re-hashing.
+    /// indexes `effects`, so revalidating a stale entry overwrites in
+    /// place without re-hashing.
     memo: FxHashMap<u64, u32>,
     effects: Vec<Effect>,
     /// Effect arenas: append-only, with superseded ranges reclaimed by
@@ -254,9 +308,13 @@ pub(crate) struct EngineCore {
     eff_apms: Vec<u32>,
     /// Entries of both arenas that no effect points at any more.
     eff_dead: usize,
+    /// Probed-page state ids of every effect. A span's probed range has
+    /// a fixed length, so a superseding sweep overwrites in place.
+    eff_pages: Vec<u64>,
+    stats: EngineStats,
     total_writes: u64,
-    /// Event stamp, pre-incremented per write and per install/remove;
-    /// 0 is the never-stamped sentinel.
+    /// Sweep stamp, pre-incremented per sweep; 0 is the never-stamped
+    /// sentinel.
     stamp: u64,
     /// Scratch: per-size expanded base-page bounds of the current write.
     lo: Vec<u32>,
@@ -274,7 +332,11 @@ impl EngineCore {
         );
         let base_shift = ladder[0].shift();
         let n = ladder.len();
-        let base_pages = (databp_machine::MEM_SIZE >> base_shift) as usize;
+        // Pre-size for the machine's whole data space; traces from real
+        // workloads never grow this.
+        let occ_words = ((databp_machine::MEM_SIZE >> base_shift) as usize).div_ceil(64);
+        let mut state_ids = FxHashMap::default();
+        state_ids.insert(Arc::default(), 0);
         EngineCore {
             base_shift,
             sizes: ladder
@@ -290,14 +352,14 @@ impl EngineCore {
                     vm_unprotect: Vec::new(),
                 })
                 .collect(),
-            // Pre-size for the machine's whole data space; traces from
-            // real workloads never grow this.
-            pages: vec![SlotList::default(); base_pages],
-            occ: vec![0; base_pages.div_ceil(64)],
-            page_gen: vec![0; base_pages],
-            page_union: vec![PageUnion::default(); base_pages],
-            instances: Vec::new(),
-            free: Vec::new(),
+            occ: vec![0; occ_words],
+            page_state: vec![EMPTY; occ_words * 64],
+            states: vec![PageState::default()],
+            state_ids,
+            transitions: FxHashMap::default(),
+            free_states: Vec::new(),
+            epoch: 0,
+            table_limit: STATE_TABLE_FLOOR,
             live: FxHashMap::default(),
             member_lanes: Vec::new(),
             hits: Vec::new(),
@@ -313,6 +375,8 @@ impl EngineCore {
             eff_hits: Vec::new(),
             eff_apms: Vec::new(),
             eff_dead: 0,
+            eff_pages: Vec::new(),
+            stats: EngineStats::default(),
             total_writes: 0,
             stamp: 0,
             lo: vec![0; n],
@@ -359,50 +423,29 @@ impl EngineCore {
         i
     }
 
+    /// The engine's operation counts so far.
+    pub(crate) fn stats(&self) -> EngineStats {
+        self.stats
+    }
+
     pub(crate) fn install(&mut self, obj: ObjectDesc, ba: u32, ea: u32, members: u32) {
-        let EngineCore {
-            base_shift,
-            sizes,
-            pages,
-            occ,
-            page_gen,
-            page_union,
-            instances,
-            free,
-            live,
-            member_lanes,
-            installs,
-            stamp,
-            ..
-        } = self;
-        let lanes = &member_lanes[members as usize];
-        if lanes.is_empty() || ba >= ea {
+        if self.member_lanes[members as usize].is_empty() || ba >= ea {
             return;
         }
-        *stamp += 1;
-        let slot = match free.pop() {
-            Some(s) => {
-                instances[s as usize] = Some(Instance { ba, ea, members });
-                s
-            }
-            None => {
-                instances.push(Some(Instance { ba, ea, members }));
-                (instances.len() - 1) as u32
-            }
-        };
-        live.insert((obj, ba), slot);
-        for page in (ba >> *base_shift)..=((ea - 1) >> *base_shift) {
-            if page as usize >= pages.len() {
-                pages.resize(page as usize + 1, SlotList::default());
-                occ.resize(pages.len().div_ceil(64), 0);
-                page_gen.resize(pages.len(), 0);
-                page_union.resize(pages.len(), PageUnion::default());
-            }
-            pages[page as usize].push(slot);
-            occ[(page >> 6) as usize] |= 1u64 << (page & 63);
-            page_gen[page as usize] = *stamp;
+        self.collect_states_if_full();
+        let inst = Instance { ba, ea, members };
+        self.live.insert((obj, ba), inst);
+        let last = ((ea - 1) >> self.base_shift) as usize;
+        if last >= self.page_state.len() {
+            self.occ.resize((last + 1).div_ceil(64), 0);
+            self.page_state.resize(self.occ.len() * 64, EMPTY);
         }
-        for st in sizes.iter_mut() {
+        for page in (ba >> self.base_shift) as usize..=last {
+            self.page_state[page] = self.step(self.page_state[page], inst, true);
+            self.occ[page >> 6] |= 1u64 << (page & 63);
+        }
+        let lanes = &self.member_lanes[members as usize];
+        for st in self.sizes.iter_mut() {
             for page in st.page_size.pages_of_range(ba, ea) {
                 if page as usize >= st.page_counts.len() {
                     st.page_counts
@@ -417,29 +460,25 @@ impl EngineCore {
             }
         }
         for s in lanes.iter() {
-            installs[s as usize] += 1;
+            self.installs[s as usize] += 1;
         }
     }
 
     pub(crate) fn remove(&mut self, obj: ObjectDesc, ba: u32) {
-        let Some(slot) = self.live.remove(&(obj, ba)) else {
+        let Some(inst) = self.live.remove(&(obj, ba)) else {
             // Object not monitored by any session.
             return;
         };
-        let inst = self.instances[slot as usize]
-            .take()
-            .expect("live slot is occupied");
-        self.free.push(slot);
-        self.stamp += 1;
-        let lanes = &self.member_lanes[inst.members as usize];
-        for page in (inst.ba >> self.base_shift)..=((inst.ea - 1) >> self.base_shift) {
-            let list = &mut self.pages[page as usize];
-            list.swap_remove_value(slot);
-            if list.is_empty() {
-                self.occ[(page >> 6) as usize] &= !(1u64 << (page & 63));
+        self.collect_states_if_full();
+        let first = (inst.ba >> self.base_shift) as usize;
+        for page in first..=((inst.ea - 1) >> self.base_shift) as usize {
+            let to = self.step(self.page_state[page], inst, false);
+            self.page_state[page] = to;
+            if to == EMPTY {
+                self.occ[page >> 6] &= !(1u64 << (page & 63));
             }
-            self.page_gen[page as usize] = self.stamp;
         }
+        let lanes = &self.member_lanes[inst.members as usize];
         for st in &mut self.sizes {
             for page in st.page_size.pages_of_range(inst.ba, inst.ea) {
                 let counts = &mut st.page_counts[page as usize];
@@ -455,6 +494,96 @@ impl EngineCore {
         }
     }
 
+    /// The id of the state a page holding state `from` moves to when
+    /// `inst` is installed on it (`add`) or removed from it.
+    fn step(&mut self, from: u64, inst: Instance, add: bool) -> u64 {
+        let key = (from as u32, add, inst);
+        if let Some(&to) = self.transitions.get(&key) {
+            return to;
+        }
+        let mut insts = self.states[from as u32 as usize].insts.to_vec();
+        let at = insts.partition_point(|i| *i < inst);
+        if add {
+            insts.insert(at, inst);
+        } else {
+            assert_eq!(
+                insts.get(at),
+                Some(&inst),
+                "removed instance is on its page"
+            );
+            insts.remove(at);
+        }
+        let to = self.intern_state(insts);
+        self.transitions.insert(key, to);
+        self.stats.transitions += 1;
+        to
+    }
+
+    /// The id of the state holding exactly `insts` (sorted), interned
+    /// with its lane union on first sight.
+    fn intern_state(&mut self, insts: Vec<Instance>) -> u64 {
+        if let Some(&slot) = self.state_ids.get(insts.as_slice()) {
+            return self.states[slot as usize].id;
+        }
+        let mut union: Vec<(u32, u64)> = Vec::new();
+        for inst in &insts {
+            'pair: for &(w, bits) in self.member_lanes[inst.members as usize].pairs() {
+                for p in union.iter_mut() {
+                    if p.0 == w {
+                        p.1 |= bits;
+                        continue 'pair;
+                    }
+                }
+                union.push((w, bits));
+            }
+        }
+        let slot = self.free_states.pop().unwrap_or_else(|| {
+            self.states.push(PageState::default());
+            (self.states.len() - 1) as u32
+        });
+        let id = (self.epoch << 32) | u64::from(slot);
+        let insts: Arc<[Instance]> = insts.into();
+        self.state_ids.insert(Arc::clone(&insts), slot);
+        self.states[slot as usize] = PageState {
+            id,
+            insts,
+            union: union.into(),
+        };
+        self.stats.states_interned += 1;
+        id
+    }
+
+    /// Bounds the interning tables: once they exceed `table_limit`,
+    /// frees every state no page holds and clears the transition table
+    /// (whose entries may name freed slots). The next limit is four
+    /// times the held states (at least the floor), so collections are
+    /// amortized over the interning that filled the tables. Opening a
+    /// new epoch keeps ids unique: a memoized effect recorded under a
+    /// freed state can never match the slot's next occupant.
+    fn collect_states_if_full(&mut self) {
+        if self.state_ids.len() + self.transitions.len() <= self.table_limit {
+            return;
+        }
+        let mut held = vec![false; self.states.len()];
+        held[EMPTY as usize] = true;
+        for &id in &self.page_state {
+            held[id as u32 as usize] = true;
+        }
+        self.epoch += 1;
+        let mut live = 0;
+        for (slot, st) in self.states.iter_mut().enumerate() {
+            if held[slot] {
+                live += 1;
+            } else if !st.insts.is_empty() {
+                self.state_ids.remove(&st.insts);
+                *st = PageState::default();
+                self.free_states.push(slot as u32);
+            }
+        }
+        self.transitions.clear();
+        self.table_limit = STATE_TABLE_FLOOR.max(4 * live);
+    }
+
     pub(crate) fn write(&mut self, ba: u32, ea: u32) {
         self.total_writes += 1;
         if ba >= ea {
@@ -465,50 +594,50 @@ impl EngineCore {
         let d_top = top_shift - self.base_shift;
         let lo_top = (ba >> top_shift) << d_top;
         let hi_top = (((ea - 1) >> top_shift) << d_top) | ((1u32 << d_top) - 1);
-        // Occupancy and generation probe, fused in one pass: the
-        // overwhelmingly common case is a write whose probed range holds
-        // no monitored page — it pays a couple of L1 loads and nothing
-        // else. `gen` is the range's generation max, which validates the
-        // memo: the effect of this span is reusable iff no
-        // install/remove has touched any probed page since it was
-        // recorded.
-        let mut occupied = false;
-        let mut gen = 0u64;
-        for page in lo_top..=hi_top {
-            let Some(&word) = self.occ.get((page >> 6) as usize) else {
-                break; // the bitmap is contiguous: no monitors this high
-            };
-            occupied |= word & (1u64 << (page & 63)) != 0;
-            // The occ word can outlive `page_gen`'s exact length (it is
-            // sized in 64-page words); out-of-range pages never change.
-            gen = gen.max(self.page_gen.get(page as usize).copied().unwrap_or(0));
-        }
+        // Occupancy probe: the overwhelmingly common case is a write
+        // whose probed range holds no monitored page — it pays a couple
+        // of L1 loads and nothing else.
+        let occupied = (lo_top..=hi_top).any(|page| {
+            self.occ
+                .get((page >> 6) as usize)
+                .is_some_and(|word| word & (1u64 << (page & 63)) != 0)
+        });
         if !occupied {
             return;
         }
+        // The span's effect is reusable iff every probed page holds the
+        // state it held when the effect was recorded.
+        let probed = (hi_top - lo_top + 1) as usize;
         let key = (u64::from(ba) << 32) | u64::from(ea);
         let slot = self.memo.get(&key).copied();
         if let Some(i) = slot {
-            let e = &mut self.effects[i as usize];
-            if e.gen == gen {
-                e.count += 1;
+            let at = self.effects[i as usize].pages as usize;
+            let recorded = &self.eff_pages[at..at + probed];
+            if page_ids(&self.page_state, lo_top, hi_top).eq(recorded.iter().copied()) {
+                self.effects[i as usize].count += 1;
+                self.stats.memo_hits += 1;
                 return;
             }
         }
         let (hits, apms) = self.sweep(ba, ea, lo_top, hi_top);
-        let e = Effect {
-            gen,
-            count: 1,
-            hits,
-            apms,
-        };
         match slot {
             Some(i) => {
+                self.stats.memo_stale += 1;
                 // Settle the superseded effect's accumulated writes
                 // before the new monitor state takes its slot.
                 let old = self.effects[i as usize];
                 self.flush_effect(old);
-                self.effects[i as usize] = e;
+                let at = old.pages as usize;
+                let ids = page_ids(&self.page_state, lo_top, hi_top);
+                for (slot, id) in self.eff_pages[at..at + probed].iter_mut().zip(ids) {
+                    *slot = id;
+                }
+                self.effects[i as usize] = Effect {
+                    pages: old.pages,
+                    count: 1,
+                    hits,
+                    apms,
+                };
                 self.eff_dead += (old.hits.1 - old.hits.0 + old.apms.1 - old.apms.0) as usize;
                 if self.eff_dead > COMPACT_FLOOR
                     && 2 * self.eff_dead > self.eff_hits.len() + self.eff_apms.len()
@@ -517,9 +646,17 @@ impl EngineCore {
                 }
             }
             None => {
-                let i = self.effects.len() as u32;
-                self.effects.push(e);
-                self.memo.insert(key, i);
+                self.stats.memo_new += 1;
+                let pages = self.eff_pages.len() as u32;
+                self.eff_pages
+                    .extend(page_ids(&self.page_state, lo_top, hi_top));
+                self.memo.insert(key, self.effects.len() as u32);
+                self.effects.push(Effect {
+                    pages,
+                    count: 1,
+                    hits,
+                    apms,
+                });
             }
         }
     }
@@ -586,11 +723,9 @@ impl EngineCore {
         let EngineCore {
             base_shift,
             sizes,
-            pages,
             occ,
-            page_gen,
-            page_union,
-            instances,
+            page_state,
+            states,
             member_lanes,
             touch_lanes,
             hit_lanes,
@@ -614,8 +749,8 @@ impl EngineCore {
             if word & (1u64 << (page & 63)) == 0 {
                 continue;
             }
-            // A set bit guarantees the page exists and is nonempty.
-            let list = &pages[page as usize];
+            // A set bit guarantees the page holds a nonempty state.
+            let state = &states[page_state[page as usize] as u32 as usize];
             if !ranges_ready {
                 for (k, st) in sizes.iter().enumerate() {
                     let shift = st.page_size.shift();
@@ -629,28 +764,10 @@ impl EngineCore {
             while page < lo[m] || page > hi[m] {
                 m += 1;
             }
-            // Charge the whole page's touch from its cached lane union
+            // Charge the whole page's touch from its state's lane union
             // — one OR charges up to 64 member sessions at once, and
-            // only occupied lane words cost. The union is rebuilt
-            // lazily after the page's monitor set changes.
-            let u = &mut page_union[page as usize];
-            if u.gen != page_gen[page as usize] {
-                u.gen = page_gen[page as usize];
-                u.pairs.clear();
-                for &slot in list.as_slice() {
-                    let inst = instances[slot as usize].expect("indexed slot live");
-                    'pair: for &(w, bits) in member_lanes[inst.members as usize].pairs() {
-                        for p in u.pairs.iter_mut() {
-                            if p.0 == w {
-                                p.1 |= bits;
-                                continue 'pair;
-                            }
-                        }
-                        u.pairs.push((w, bits));
-                    }
-                }
-            }
-            for &(w, bits) in u.pairs.iter() {
+            // only occupied lane words cost.
+            for &(w, bits) in state.union.iter() {
                 let w = w as usize;
                 if word_stamp[w] != stamp {
                     word_stamp[w] = stamp;
@@ -667,8 +784,7 @@ impl EngineCore {
             // idempotent, so an instance spanning several pages needs no
             // dedup stamp.
             if m == 0 {
-                for &slot in list.as_slice() {
-                    let inst = instances[slot as usize].expect("indexed slot live");
+                for inst in state.insts.iter() {
                     if ba < inst.ea && inst.ba < ea {
                         for &(w, bits) in member_lanes[inst.members as usize].pairs() {
                             hit_lanes[w as usize] |= bits;
@@ -1208,14 +1324,63 @@ mod tests {
         assert_eq!(c[1].vm_active_page_miss, 0);
     }
 
+    /// Replays `events` through a bare `core`, calling `after_write`
+    /// after every write, and checks every count against the naive
+    /// oracle before handing the core back for inspection.
+    fn replay_checked(
+        mut core: EngineCore,
+        events: Vec<Event>,
+        m: &impl Membership,
+        mut after_write: impl FnMut(&EngineCore),
+    ) -> EngineCore {
+        core.ensure_sessions(m.count());
+        // Intern per distinct member list, not per object, so traces
+        // with many objects stay cheap.
+        let mut interned: FxHashMap<Vec<u32>, u32> = FxHashMap::default();
+        let mut scratch = Vec::new();
+        for ev in &events {
+            match *ev {
+                Event::Install { obj, ba, ea } => {
+                    m.sessions_of(&obj, &mut scratch);
+                    let i = match interned.get(&scratch) {
+                        Some(&i) => i,
+                        None => {
+                            let i = core.intern(&scratch);
+                            interned.insert(scratch.clone(), i);
+                            i
+                        }
+                    };
+                    core.install(obj, ba, ea, i);
+                }
+                Event::Remove { obj, ba, .. } => core.remove(obj, ba),
+                Event::Write { ba, ea, .. } => {
+                    core.write(ba, ea);
+                    after_write(&core);
+                }
+                _ => {}
+            }
+        }
+        let trace = Trace::from_events(events);
+        let counts = core.counts(m.count());
+        let ladder: Vec<PageSize> = core.sizes.iter().map(|st| st.page_size).collect();
+        for (row, ps) in counts.iter().zip(ladder) {
+            for (s, c) in row.iter().enumerate() {
+                let naive = crate::simulate_naive(&trace, m, ps, s as u32);
+                assert_eq!(*c, naive, "size {ps} session {s}");
+            }
+        }
+        core
+    }
+
     #[test]
     fn superseded_effects_are_reclaimed_and_counts_stay_exact() {
         // Install/remove churn of `a` around one hot span (and a coarse
-        // neighbour) supersedes both spans' effects on every write,
-        // while `b` keeps their pages occupied. The arenas must stay
-        // bounded by the live ranges plus the floor, and compaction must
-        // not disturb a single count. The `c`/`d` span, written once
-        // before the churn and once after, keeps a live range low in the
+        // neighbour) changes the span's pages between every two writes,
+        // so each write supersedes the span's effect, while `b` keeps
+        // their pages occupied. The arenas must stay bounded by the live
+        // ranges plus the floor, compaction must run, and it must not
+        // disturb a single count. The `c`/`d` span, written once before
+        // the churn and once after, keeps a live range low in the
         // arenas, just above the hot span's one-entry first effect, so
         // compaction must move ranges in arena order, not slot order.
         let (a, b, c, d, e) = (g(0), g(1), g(2), g(3), g(4));
@@ -1257,46 +1422,218 @@ mod tests {
             }
         }
         events.push(write(0x8000, 0x8004));
-        let trace = Trace::from_events(events);
+        let (mut last_len, mut compactions) = (0, 0);
         let ladder = [PageSize::K4, PageSize::K8, PageSize::K16];
-        let mut core = EngineCore::new(&ladder);
-        core.ensure_sessions(m.count());
-        let mut interned = FxHashMap::default();
-        let mut scratch = Vec::new();
-        for ev in trace.events() {
-            match *ev {
-                Event::Install { obj, ba, ea } => {
-                    let i = *interned.entry(obj).or_insert_with(|| {
-                        m.sessions_of(&obj, &mut scratch);
-                        core.intern(&scratch)
-                    });
-                    core.install(obj, ba, ea, i);
+        replay_checked(EngineCore::new(&ladder), events, &m, |core| {
+            let live: usize = core
+                .effects
+                .iter()
+                .map(|e| (e.hits.1 - e.hits.0 + e.apms.1 - e.apms.0) as usize)
+                .sum();
+            let len = core.eff_hits.len() + core.eff_apms.len();
+            assert_eq!(core.eff_dead, len - live, "dead-entry accounting");
+            assert!(
+                len - live <= COMPACT_FLOOR.max(live),
+                "arenas hold {len} entries for {live} live ones"
+            );
+            compactions += usize::from(len < last_len);
+            last_len = len;
+        });
+        assert!(compactions > 0, "the churn never compacted the arenas");
+    }
+
+    #[test]
+    fn a_call_loop_resweeps_a_constant_number_of_times() {
+        // A caller's loop: enter (install two locals at the same frame
+        // pointer), write a local and a caller global on the same page,
+        // exit (remove the locals), then write a second global on
+        // another page. Every call puts the frame's page back in the
+        // state the previous call left it in, so after the first
+        // iteration every write is a memo hit: the sweep count must not
+        // grow with the iteration count.
+        let (l0, l1) = (
+            ObjectDesc::Local { func: 1, var: 0 },
+            ObjectDesc::Local { func: 1, var: 1 },
+        );
+        let m = TableMembership::new(
+            vec![
+                (g(0), vec![0]),
+                (g(1), vec![0, 2]),
+                (l0, vec![1]),
+                (l1, vec![1, 2]),
+            ],
+            3,
+        );
+        let call_loop = |iterations: usize| {
+            let mut events = vec![
+                Event::Install {
+                    obj: g(0),
+                    ba: 0x1000,
+                    ea: 0x1004,
+                },
+                Event::Install {
+                    obj: g(1),
+                    ba: 0x5000,
+                    ea: 0x5004,
+                },
+            ];
+            for _ in 0..iterations {
+                events.extend([
+                    Event::Install {
+                        obj: l0,
+                        ba: 0x1f00,
+                        ea: 0x1f04,
+                    },
+                    Event::Install {
+                        obj: l1,
+                        ba: 0x1f08,
+                        ea: 0x1f10,
+                    },
+                    write(0x1f00, 0x1f04),
+                    write(0x1000, 0x1004),
+                    Event::Remove {
+                        obj: l1,
+                        ba: 0x1f08,
+                        ea: 0x1f10,
+                    },
+                    Event::Remove {
+                        obj: l0,
+                        ba: 0x1f00,
+                        ea: 0x1f04,
+                    },
+                    write(0x5000, 0x5004),
+                ]);
+            }
+            let core = EngineCore::new(&[PageSize::K4, PageSize::K8]);
+            replay_checked(core, events, &m, |_| {}).stats()
+        };
+        let (few, many) = (call_loop(10), call_loop(1000));
+        assert_eq!((many.memo_new, many.memo_stale), (3, 0), "{many:?}");
+        assert_eq!((few.memo_new, few.memo_stale), (3, 0), "{few:?}");
+        assert_eq!(many.memo_hits, 3 * 1000 - 3);
+        assert_eq!(few.states_interned, many.states_interned);
+        assert_eq!(few.transitions, many.transitions);
+    }
+
+    #[test]
+    fn interning_tables_stay_bounded_under_fresh_addresses() {
+        // 2^17 heap blocks, each allocated at an address no block had
+        // before, written, and freed while the seven blocks allocated
+        // after it are still live; a global shares the first page.
+        // Every install and free makes page contents never seen before,
+        // so without collection the tables would grow with the trace.
+        // Alive at any time are at most a handful of page states.
+        struct HeapParity;
+        impl Membership for HeapParity {
+            fn count(&self) -> usize {
+                2
+            }
+            fn sessions_of(&self, obj: &ObjectDesc, out: &mut Vec<u32>) {
+                out.clear();
+                match *obj {
+                    ObjectDesc::Heap { seq } => out.push(seq & 1),
+                    _ => out.extend([0, 1]),
                 }
-                Event::Remove { obj, ba, .. } => core.remove(obj, ba),
-                Event::Write { ba, ea, .. } => {
-                    core.write(ba, ea);
-                    let live: usize = core
-                        .effects
-                        .iter()
-                        .map(|e| (e.hits.1 - e.hits.0 + e.apms.1 - e.apms.0) as usize)
-                        .sum();
-                    let len = core.eff_hits.len() + core.eff_apms.len();
-                    assert_eq!(core.eff_dead, len - live, "dead-entry accounting");
-                    assert!(
-                        len - live <= COMPACT_FLOOR.max(live),
-                        "arenas hold {len} entries for {live} live ones"
-                    );
-                }
-                _ => {}
             }
         }
-        let counts = core.counts(m.count());
-        for (row, &ps) in counts.iter().zip(&ladder) {
-            for (s, c) in row.iter().enumerate() {
-                let naive = crate::simulate_naive(&trace, &m, ps, s as u32);
-                assert_eq!(*c, naive, "size {ps} session {s}");
+        let blocks = 1u32 << 17;
+        let block = |seq: u32| (ObjectDesc::Heap { seq }, 0x1000 + 24 * seq);
+        let mut events = vec![Event::Install {
+            obj: g(0),
+            ba: 0x1000,
+            ea: 0x1008,
+        }];
+        for seq in 0..blocks {
+            let (obj, ba) = block(seq);
+            events.extend([
+                Event::Install {
+                    obj,
+                    ba,
+                    ea: ba + 16,
+                },
+                write(ba, ba + 4),       // hit
+                write(ba + 16, ba + 20), // between blocks: APM
+            ]);
+            if seq >= 7 {
+                let (obj, ba) = block(seq - 7);
+                events.push(Event::Remove {
+                    obj,
+                    ba,
+                    ea: ba + 16,
+                });
             }
         }
+        let limit = STATE_TABLE_FLOOR + 8;
+        let core = EngineCore::new(&[PageSize::K4, PageSize::K8]);
+        let core = replay_checked(core, events, &HeapParity, |core| {
+            let tables = core.state_ids.len() + core.transitions.len();
+            assert!(tables <= limit, "{tables} table entries");
+        });
+        let held: std::collections::HashSet<u64> = core.page_state.iter().copied().collect();
+        assert!(held.len() <= 4, "{} states held at the end", held.len());
+        assert!(
+            core.states.len() <= limit,
+            "{} state slots",
+            core.states.len()
+        );
+        assert!(
+            core.stats().states_interned > 4 * STATE_TABLE_FLOOR as u64,
+            "the trace must outgrow the floor several times over"
+        );
+        assert!(core.epoch >= 4, "{} collections", core.epoch);
+    }
+
+    #[test]
+    fn identical_instances_on_a_page_count_as_a_multiset() {
+        // Two objects with the same range and the same members: the page
+        // holds the instance twice, and removing one copy must leave the
+        // other in place (and, on the second removal, nothing).
+        let m = TableMembership::new(vec![(g(0), vec![0]), (g(1), vec![0])], 1);
+        let inst = |obj| Event::Install {
+            obj,
+            ba: 0x1000,
+            ea: 0x1004,
+        };
+        let rem = |obj| Event::Remove {
+            obj,
+            ba: 0x1000,
+            ea: 0x1004,
+        };
+        let mut events = Vec::new();
+        for _ in 0..3 {
+            events.extend([
+                inst(g(0)),
+                inst(g(1)),
+                write(0x1000, 0x1004), // hit
+                rem(g(1)),
+                write(0x1000, 0x1004), // hit: g(0) is still there
+                rem(g(0)),
+                write(0x1000, 0x1004), // miss
+            ]);
+        }
+        let core = replay_checked(EngineCore::new(&[PageSize::K4]), events, &m, |_| {});
+        assert_eq!(core.stats().states_interned, 2, "{{X}} and {{X, X}}");
+    }
+
+    #[test]
+    fn collected_states_never_revalidate_a_memo() {
+        // With no room left in the tables, the install of `b` collects
+        // first: the state `a` left behind is freed and its slot goes
+        // to the next content interned, `b` on the same page. The span
+        // written next to `a` must not take `b`'s state for `a`'s.
+        let mut core = EngineCore::new(&[PageSize::K4]);
+        core.ensure_sessions(2);
+        let (a, b) = (core.intern(&[0]), core.intern(&[1]));
+        core.install(g(0), 0x1000, 0x1004, a);
+        core.write(0x1800, 0x1804); // APM for session 0
+        core.remove(g(0), 0x1000);
+        core.table_limit = 0;
+        core.install(g(1), 0x1000, 0x1004, b);
+        core.write(0x1800, 0x1804); // APM for session 1
+        assert_eq!(core.epoch, 1, "one collection");
+        assert_eq!(core.stats().memo_stale, 1);
+        let c = core.counts(2).remove(0);
+        assert_eq!((c[0].vm_active_page_miss, c[1].vm_active_page_miss), (1, 1));
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //! power-of-two sizes, derived from a single page index at the smallest
 //! size. [`simulate_sizes`] is the one materialized-trace entry point:
 //! pass `&[PageSize::K4, PageSize::K8]` for the paper's VM-4K / VM-8K
-//! pair, or any ladder. Hot paths use a vendored
-//! FxHash hasher and inline per-page slot lists (see `slots.rs`).
+//! pair, or any ladder. Hot paths use a vendored FxHash hasher; what
+//! each page holds is an interned content state, which also validates
+//! the engine's memo of repeated writes (see `engine.rs`).
 //!
 //! The engine is event-driven: [`StreamingReplay`] accepts event
 //! batches as phase 1 produces them, overlapping replay with trace
@@ -32,7 +33,6 @@ mod membership;
 mod naive;
 mod pushdown;
 mod query;
-mod slots;
 mod soundness;
 mod stream;
 
@@ -44,6 +44,5 @@ pub use query::{
     run_query, Aggregation, CompiledQuery, Query, QueryEngine, QueryError, QueryResult, WriteHit,
     MAX_WATCH_SAMPLES,
 };
-pub use slots::SlotList;
 pub use soundness::{verify_elided_stores, ElisionViolation};
 pub use stream::{FixedMembership, StreamMembership, StreamingReplay};

@@ -170,11 +170,136 @@ pub(crate) mod testgen {
             (tr, membership)
         })
     }
+
+    /// Random call loops: the same body runs each iteration between an
+    /// enter that installs a frame's locals at the same frame pointer
+    /// and an exit that removes them, so page contents keep returning
+    /// to earlier states. Body steps write locals, a heap block, the
+    /// globals or the frame's surroundings, free the heap block and
+    /// allocate it again at the same address, or make a nested call one
+    /// frame down. Some iterations run at a deeper frame pointer, so a
+    /// span sometimes meets a page state it has not seen before.
+    pub(crate) fn arb_call_loop() -> impl Strategy<Value = (Trace, TableMembership)> {
+        let objs: Vec<ObjectDesc> = vec![
+            ObjectDesc::Global { id: 0 },
+            ObjectDesc::Global { id: 1 },
+            ObjectDesc::Local { func: 0, var: 0 },
+            ObjectDesc::Local { func: 0, var: 1 },
+            ObjectDesc::Local { func: 0, var: 2 },
+            ObjectDesc::Heap { seq: 0 },
+            ObjectDesc::Heap { seq: 1 },
+        ];
+        let n_sessions = 3usize;
+        let membership = prop::collection::vec(
+            prop::collection::vec(0u32..n_sessions as u32, 0..3),
+            objs.len(),
+        );
+        let layout = (
+            // Frame pointer, locals as (offset below it, length), the
+            // heap block, and the two globals' base addresses.
+            0x1c00u32..0x4400,
+            prop::collection::vec((0u32..0x60, 4u32..16), 1..4),
+            (0x0f00u32..0x4800, 8u32..48),
+            prop::collection::vec(0x0f00u32..0x4800, 2),
+        );
+        let body = prop::collection::vec((0u8..6, 0u32..0x100), 1..8);
+        // One in five iterations runs a frame deeper.
+        let deep = prop::collection::vec(0u8..5, 1..24);
+        (membership, layout, body, deep).prop_map(
+            move |(mem, (fp, locals, (heap_ba, heap_len), globals), body, deep)| {
+                let mut tr = Trace::new();
+                let write = |tr: &mut Trace, ba: u32, len: u32| {
+                    tr.push(Event::Write {
+                        pc: 0,
+                        ba,
+                        ea: ba + len,
+                        value: 0,
+                        old: 0,
+                    })
+                };
+                let frame = |tr: &mut Trace, fp: u32, install: bool| {
+                    for (k, &(off, len)) in locals.iter().enumerate() {
+                        let (obj, ba, ea) = (objs[2 + k], fp - off - len, fp - off);
+                        tr.push(if install {
+                            Event::Install { obj, ba, ea }
+                        } else {
+                            Event::Remove { obj, ba, ea }
+                        });
+                    }
+                };
+                for (k, &ba) in globals.iter().enumerate() {
+                    tr.push(Event::Install {
+                        obj: objs[k],
+                        ba,
+                        ea: ba + 8,
+                    });
+                }
+                let mut heap = 0usize;
+                let heap_obj = |k: usize| objs[5 + k];
+                tr.push(Event::Install {
+                    obj: heap_obj(heap),
+                    ba: heap_ba,
+                    ea: heap_ba + heap_len,
+                });
+                for deep in deep {
+                    let fp = if deep == 0 { fp - 0x180 } else { fp };
+                    frame(&mut tr, fp, true);
+                    for &(op, a) in &body {
+                        match op {
+                            0 => {
+                                let (off, len) = locals[a as usize % locals.len()];
+                                write(&mut tr, fp - off - len + a % len, 1 + a % 4);
+                            }
+                            1 => write(&mut tr, heap_ba + a % heap_len, 1 + a % 8),
+                            2 => write(&mut tr, globals[a as usize % 2] + a % 8, 4),
+                            3 => write(&mut tr, fp - 0x100 + a, 4),
+                            4 => {
+                                tr.push(Event::Remove {
+                                    obj: heap_obj(heap),
+                                    ba: heap_ba,
+                                    ea: heap_ba + heap_len,
+                                });
+                                heap = a as usize % 2;
+                                tr.push(Event::Install {
+                                    obj: heap_obj(heap),
+                                    ba: heap_ba,
+                                    ea: heap_ba + heap_len,
+                                });
+                            }
+                            _ => {
+                                frame(&mut tr, fp - 0x80, true);
+                                write(&mut tr, fp - 0x80 - 4 - a % 0x40, 4);
+                                frame(&mut tr, fp - 0x80, false);
+                            }
+                        }
+                    }
+                    frame(&mut tr, fp, false);
+                }
+                tr.push(Event::Remove {
+                    obj: heap_obj(heap),
+                    ba: heap_ba,
+                    ea: heap_ba + heap_len,
+                });
+                for (k, &ba) in globals.iter().enumerate() {
+                    tr.push(Event::Remove {
+                        obj: objs[k],
+                        ba,
+                        ea: ba + 8,
+                    });
+                }
+                let membership = TableMembership::new(
+                    objs.iter().zip(mem).map(|(o, ss)| (*o, ss)).collect(),
+                    n_sessions,
+                );
+                (tr, membership)
+            },
+        )
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::testgen::arb_trace_and_membership;
+    use super::testgen::{arb_call_loop, arb_trace_and_membership};
     use super::*;
     use crate::engine::simulate_sizes;
     use proptest::prelude::*;
@@ -216,6 +341,24 @@ mod tests {
                     c8[s as usize], slow8,
                     "fused 8K divergence for session {}", s
                 );
+            }
+        }
+
+        /// Call loops, where page contents keep returning to earlier
+        /// states and the write memo reuses effects across calls, agree
+        /// with the oracle at 4K, 8K and 16K.
+        #[test]
+        fn call_loops_match_naive_oracle((trace, membership) in arb_call_loop()) {
+            let ladder = [PageSize::K4, PageSize::K8, PageSize::K16];
+            let fused = simulate_sizes(&trace, &membership, &ladder);
+            for (k, &ps) in ladder.iter().enumerate() {
+                for s in 0..membership.count() as u32 {
+                    let slow = simulate_naive(&trace, &membership, ps, s);
+                    prop_assert_eq!(
+                        fused[k][s as usize], slow,
+                        "call-loop divergence for session {} at page size {}", s, ps
+                    );
+                }
             }
         }
 

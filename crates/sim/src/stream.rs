@@ -142,6 +142,12 @@ impl<S: StreamMembership> StreamingReplay<S> {
     pub fn finish(mut self) -> (S, Vec<Vec<Counts>>) {
         let n = self.membership.count();
         databp_telemetry::count!("sim.sessions.simulated", n as u64);
+        let stats = self.core.stats();
+        databp_telemetry::count!("sim.memo.hits", stats.memo_hits);
+        databp_telemetry::count!("sim.memo.stale", stats.memo_stale);
+        databp_telemetry::count!("sim.memo.new", stats.memo_new);
+        databp_telemetry::count!("sim.states.interned", stats.states_interned);
+        databp_telemetry::count!("sim.states.transitions", stats.transitions);
         let counts = self.core.counts(n);
         (self.membership, counts)
     }
