@@ -25,7 +25,7 @@ use databp_machine::PageSize;
 use databp_models::{overhead, Approach, Counts};
 use databp_sessions::{enumerate_sessions, Session, SessionKind, SessionSet, StreamSessionSet};
 use databp_sim::{simulate_sizes, StreamingReplay};
-use databp_trace::{batch_channel, Event, EventSink, StreamSink, Trace};
+use databp_trace::{channel_sink, inline_sink};
 use databp_workloads::{compile_plain, run_traced, Prepared, Workload};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -265,45 +265,6 @@ fn analyze_materialized(
     (prepared, all, candidates, per_size)
 }
 
-/// An [`EventSink`] that replays each full batch *inline*, on the
-/// tracing thread itself. This is the single-threaded streaming mode
-/// (`channel_batches == 0`): the trace is still never materialized on
-/// the hot path, but there is no channel and no consumer thread — the
-/// right shape on a one-core host, where a second thread only turns
-/// overlap into context switching.
-struct InlineReplaySink {
-    replay: StreamingReplay<StreamSessionSet>,
-    batch: Vec<Event>,
-    capacity: usize,
-    tee: Trace,
-}
-
-impl InlineReplaySink {
-    fn flush(&mut self) {
-        if self.batch.is_empty() {
-            return;
-        }
-        databp_telemetry::count!("pipeline.batches");
-        databp_telemetry::count!("pipeline.events.streamed", self.batch.len() as u64);
-        // Depth is identically zero inline — the batch is consumed the
-        // moment it fills — but sampling it keeps the snapshot schema
-        // the same in both streaming modes.
-        databp_telemetry::observe!("pipeline.channel.depth", &[1, 2, 4, 8, 16, 32, 64], 0);
-        self.replay.feed(&self.batch);
-        self.batch.clear();
-    }
-}
-
-impl EventSink for InlineReplaySink {
-    fn emit(&mut self, ev: Event) {
-        self.tee.push(ev);
-        self.batch.push(ev);
-        if self.batch.len() >= self.capacity {
-            self.flush();
-        }
-    }
-}
-
 /// The streaming path: the traced run produces event batches that are
 /// replayed as they fill — through a bounded channel to a scoped
 /// consumer thread (`channel_batches >= 1`) while the traced run stays
@@ -319,50 +280,37 @@ fn analyze_streamed(
     let plain = compile_plain(workload);
     let membership = StreamSessionSet::new(&plain.debug);
 
+    let capacity = opts.batch_events.max(1);
     let (mut prepared, tee, set, per_size_discovered) = if opts.channel_batches == 0 {
-        // Inline mode. Neither side of the channel exists, so neither
-        // side ever waits; count the zeros so the backpressure counters
-        // are present (and truthful) in every streaming snapshot.
-        databp_telemetry::count!("pipeline.backpressure.producer_waits", 0);
-        databp_telemetry::count!("pipeline.backpressure.consumer_waits", 0);
-        let capacity = opts.batch_events.max(1);
-        let sink = InlineReplaySink {
-            replay: StreamingReplay::new(membership, ladder),
-            batch: Vec::with_capacity(capacity),
-            capacity,
-            tee: Trace::new(),
-        };
-        let (prepared, mut sink) = {
+        let mut replay = StreamingReplay::new(membership, ladder);
+        let sink = inline_sink(capacity, |batch| replay.feed(batch));
+        let (prepared, sink) = {
             // Here `harness.prepare` covers the fused phase-1 + phase-2
             // work — replay happens inside the traced run.
             let _t = databp_telemetry::time!("harness.prepare");
             run_traced(workload, plain, sink)
                 .unwrap_or_else(|e| panic!("workload {} failed: {e}", workload.name))
         };
-        sink.flush();
-        let (set, counts) = sink.replay.finish();
-        (prepared, sink.tee, set, counts)
+        let tee = sink.finish();
+        let (set, counts) = replay.finish();
+        (prepared, tee, set, counts)
     } else {
-        let (tx, rx) = batch_channel(opts.channel_batches);
-        let sink = StreamSink::new(tx, opts.batch_events.max(1));
+        let (sink, stream) = channel_sink(capacity, opts.channel_batches);
         std::thread::scope(|s| {
             let consumer = s.spawn(move || {
                 let mut replay = StreamingReplay::new(membership, ladder);
-                while let Some(batch) = rx.recv() {
-                    replay.feed(batch.events());
-                    rx.recycle(batch);
-                }
+                stream.for_each(|batch| replay.feed(batch));
                 replay.finish()
             });
             // The producer half of the `harness.prepare` work: the
-            // traced machine run, on the caller's thread. Closing the
+            // traced machine run, on the caller's thread. Finishing the
             // sink flushes the tail batch and ends the stream; if the
             // run fails, unwinding drops the sink, which ends it too.
             let (prepared, tee) = {
                 let _t = databp_telemetry::time!("harness.prepare");
                 let (prepared, sink) = run_traced(workload, plain, sink)
                     .unwrap_or_else(|e| panic!("workload {} failed: {e}", workload.name));
-                (prepared, sink.close())
+                (prepared, sink.finish())
             };
             let (set, counts) = match consumer.join() {
                 Ok(r) => r,

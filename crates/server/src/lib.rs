@@ -1,4 +1,4 @@
-//! databp-server: the sharded multi-session replay service.
+//! databp-server: the multi-session replay service.
 //!
 //! The paper's pipeline answers one question per run: trace a workload
 //! (phase 1), replay the trace against every monitor session (phase
@@ -6,9 +6,9 @@
 //! long-running *service* that treats (workload × session-set ×
 //! strategy × page ladder) requests as traffic:
 //!
-//! * [`scheduler`] — a work-stealing pool sharding requests across
-//!   worker threads, with bounded admission (overload is rejected, not
-//!   buffered).
+//! * [`scheduler`] — one bounded FIFO job queue feeding a pool of
+//!   worker threads (overload is rejected, not buffered); each request
+//!   is answered on its own one-shot [`Ticket`].
 //! * [`cache`] — an LRU trace cache keyed by
 //!   [`workload_hash`](databp_workloads::Workload::workload_hash); a
 //!   repeat request skips phase 1 entirely, and concurrent duplicates
@@ -43,5 +43,5 @@ pub use proto::serve;
 pub use request::{
     body_for, query_body_for, CacheStatus, Request, RequestLine, Response, ResponseBody,
 };
-pub use scheduler::StealPool;
+pub use scheduler::JobQueue;
 pub use server::{Server, ServerConfig, ServerStats, Ticket};

@@ -2,7 +2,7 @@
 //!
 //! One request per input line, one response per output line, responses
 //! in *input order* regardless of which worker finishes first — the
-//! protocol is the ordering boundary, the scheduler underneath is
+//! protocol is the ordering boundary, the job queue underneath is
 //! free-running. The driver is generic over `BufRead`/`Write` so the
 //! same loop serves `repro serve` on stdin/stdout and the in-process
 //! end-to-end tests on byte buffers.
@@ -153,20 +153,19 @@ fn drain<W: Write>(
                 pending.pop_front();
                 stats_response(&server.stats())
             }
-            Pending::Ticket(ticket) => {
-                let ready = if block {
-                    Some(ticket.wait())
-                } else {
-                    ticket.try_take()
-                };
-                match ready {
-                    Some(resp) => {
-                        pending.pop_front();
-                        resp
-                    }
-                    None => return Ok(()), // front still cooking
+            Pending::Ticket(ticket) => match ticket.try_take() {
+                Some(resp) => {
+                    pending.pop_front();
+                    resp
                 }
-            }
+                None if block => {
+                    let Some(Pending::Ticket(ticket)) = pending.pop_front() else {
+                        unreachable!()
+                    };
+                    ticket.wait()
+                }
+                None => return Ok(()), // front still cooking
+            },
         };
         writeln!(out, "{}", resp.to_json_line())?;
         out.flush()?;

@@ -1,190 +1,124 @@
-//! Work-stealing scheduler with bounded admission.
+//! One bounded FIFO job queue shared by a fixed pool of workers.
 //!
-//! Replay requests are CPU-bound and wildly uneven — a full-scale
-//! `qcd` trace costs orders of magnitude more than a small `cc` served
-//! from cache — so a single shared queue would let one slow shard
-//! starve the rest. [`StealPool`] gives each worker its own deque:
-//! submissions land round-robin, a worker pops its own queue from the
-//! front (FIFO for fairness), and an idle worker *steals from the
-//! back* of a victim's queue, the classic split that keeps stolen work
-//! coarse and owner work cache-warm.
-//!
-//! Admission is bounded: once `queue_depth` jobs are in flight the
-//! pool rejects instead of buffering without limit, surfacing
-//! overload to the client immediately (`server.queue.rejected`). This
-//! mirrors the bounded trace channel inside the pipeline — the same
-//! backpressure discipline, one level up — and idle workers park on
-//! the pipeline's own `pipeline.backpressure.consumer_waits` counter
-//! so a queue-starved service is visible in the same place as a
-//! replay-starved consumer.
+//! Jobs go into one [`std::sync::mpsc::sync_channel`] of `queue_depth`
+//! slots and every worker takes the next job from its shared receiver,
+//! so an idle worker always takes the oldest queued job, whichever
+//! worker is busy. Admission is the channel's `try_send`: once
+//! `queue_depth` jobs wait, a submission is rejected instead of
+//! buffered without limit, surfacing overload to the client
+//! immediately (`server.queue.rejected`). Dropping the queue drops the
+//! sender: the workers drain what is queued, then exit.
 //!
 //! Telemetry: `server.queue.rejected`, `server.queue.depth`
-//! (histogram, sampled at submit), `server.scheduler.steals`,
-//! `pipeline.backpressure.consumer_waits` (parks).
+//! (histogram of jobs already waiting, sampled at each admission).
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-/// Queue-depth histogram buckets (jobs in flight at submit time).
+/// Queue-depth histogram buckets (jobs waiting at submit time).
 const DEPTH_BUCKETS: &[u64] = &[0, 1, 2, 4, 8, 16, 32, 64, 128];
 
-struct PoolState<T> {
-    /// One deque per worker; the submit side round-robins across them.
-    shards: Vec<Mutex<VecDeque<T>>>,
-    /// Total jobs admitted but not yet handed to a handler.
-    queued: AtomicUsize,
-    /// Round-robin cursor for submissions.
-    next_shard: AtomicUsize,
-    /// Set once by `shutdown`; workers drain and exit.
-    stopping: AtomicBool,
-    /// Parking lot for idle workers.
-    idle: Mutex<()>,
-    wake: Condvar,
-    queue_depth: usize,
-}
-
-impl<T> PoolState<T> {
-    /// Pops work for `worker`: own queue front first, then steal from
-    /// the back of the other shards.
-    fn find_work(&self, worker: usize) -> Option<T> {
-        if let Some(job) = self.shards[worker].lock().unwrap().pop_front() {
-            self.queued.fetch_sub(1, Ordering::SeqCst);
-            return Some(job);
-        }
-        let n = self.shards.len();
-        for off in 1..n {
-            let victim = (worker + off) % n;
-            if let Some(job) = self.shards[victim].lock().unwrap().pop_back() {
-                self.queued.fetch_sub(1, Ordering::SeqCst);
-                databp_telemetry::count!("server.scheduler.steals");
-                return Some(job);
-            }
-        }
-        None
-    }
-}
-
-/// A fixed-size pool of worker threads with per-worker deques, LIFO
-/// steals, and bounded admission.
-pub struct StealPool<T: Send + 'static> {
-    state: Arc<PoolState<T>>,
+/// A fixed-size pool of worker threads fed by one bounded FIFO queue.
+pub struct JobQueue<T: Send + 'static> {
+    /// `None` only while dropping.
+    tx: Option<SyncSender<T>>,
+    /// Jobs admitted and not yet taken by a worker; a statistic only.
+    queued: Arc<AtomicUsize>,
     workers: Vec<JoinHandle<()>>,
 }
 
-impl<T: Send + 'static> StealPool<T> {
-    /// Starts `workers` threads running `handler(worker_index, job)`
-    /// for every admitted job. At most `queue_depth` jobs may be
-    /// queued (admitted, not yet picked up) at once; further
-    /// [`submit`](StealPool::submit)s are rejected.
+impl<T: Send + 'static> JobQueue<T> {
+    /// Starts `workers` threads running `handler(job)` for every
+    /// admitted job. At most `queue_depth` jobs may wait at once;
+    /// further [`submit`](JobQueue::submit)s are rejected.
     ///
     /// A handler panic is contained to that job: the worker survives
     /// and moves on. (The server layer converts panics into error
-    /// responses; the pool just must not die.)
-    pub fn start<F>(workers: usize, queue_depth: usize, handler: F) -> StealPool<T>
+    /// responses; the queue just must not lose its workers.)
+    ///
+    /// # Panics
+    ///
+    /// Panics if `workers` or `queue_depth` is zero.
+    pub fn start<F>(workers: usize, queue_depth: usize, handler: F) -> JobQueue<T>
     where
-        F: Fn(usize, T) + Send + Sync + 'static,
+        F: Fn(T) + Send + Sync + 'static,
     {
-        assert!(workers > 0, "StealPool needs at least one worker");
-        assert!(queue_depth > 0, "StealPool needs a nonzero queue depth");
-        let state = Arc::new(PoolState {
-            shards: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            queued: AtomicUsize::new(0),
-            next_shard: AtomicUsize::new(0),
-            stopping: AtomicBool::new(false),
-            idle: Mutex::new(()),
-            wake: Condvar::new(),
-            queue_depth,
-        });
+        assert!(workers > 0, "JobQueue needs at least one worker");
+        assert!(queue_depth > 0, "JobQueue needs a nonzero queue depth");
+        let (tx, rx) = mpsc::sync_channel::<T>(queue_depth);
+        let rx = Arc::new(Mutex::new(rx));
+        let queued = Arc::new(AtomicUsize::new(0));
         let handler = Arc::new(handler);
         let threads = (0..workers)
             .map(|w| {
-                let state = Arc::clone(&state);
+                let rx = Arc::clone(&rx);
+                let queued = Arc::clone(&queued);
                 let handler = Arc::clone(&handler);
                 std::thread::Builder::new()
                     .name(format!("databp-worker-{w}"))
                     .spawn(move || loop {
-                        if let Some(job) = state.find_work(w) {
-                            let h = Arc::clone(&handler);
-                            let result =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    h(w, job)
-                                }));
-                            drop(result); // panic contained; worker lives on
-                            continue;
-                        }
-                        if state.stopping.load(Ordering::SeqCst) {
-                            return; // queues drained, shutting down
-                        }
-                        let guard = state.idle.lock().unwrap();
-                        // Re-check under the park lock: a submit
-                        // between our empty scan and this lock would
-                        // otherwise have notified nobody.
-                        if state.queued.load(Ordering::SeqCst) == 0
-                            && !state.stopping.load(Ordering::SeqCst)
-                        {
-                            databp_telemetry::count!("pipeline.backpressure.consumer_waits");
-                            drop(state.wake.wait(guard).unwrap());
-                        }
+                        // The guard drops at the end of this statement:
+                        // one idle worker waits in `recv`, the others
+                        // wait for the lock.
+                        let job = rx
+                            .lock()
+                            .expect("no worker panics while holding the queue lock")
+                            .recv();
+                        let Ok(job) = job else {
+                            return; // sender dropped and queue drained
+                        };
+                        queued.fetch_sub(1, Ordering::Relaxed);
+                        let result = std::panic::catch_unwind(AssertUnwindSafe(|| handler(job)));
+                        drop(result); // panic contained; worker lives on
                     })
                     .expect("spawn worker thread")
             })
             .collect();
-        StealPool {
-            state,
+        JobQueue {
+            tx: Some(tx),
+            queued,
             workers: threads,
         }
     }
 
-    /// Submits a job, round-robin across worker shards. Returns the
-    /// job back as `Err` when the pool is saturated (admission
-    /// control) or shutting down.
+    /// Queues a job for the next free worker. Returns the job back as
+    /// `Err` when `queue_depth` jobs are already waiting (admission
+    /// control).
     pub fn submit(&self, job: T) -> Result<(), T> {
-        if self.state.stopping.load(Ordering::SeqCst) {
-            return Err(job);
+        let tx = self.tx.as_ref().expect("the sender lives until drop");
+        // Counted before the send so a worker's decrement never runs
+        // first.
+        let prior = self.queued.fetch_add(1, Ordering::Relaxed);
+        match tx.try_send(job) {
+            Ok(()) => {
+                databp_telemetry::observe!("server.queue.depth", DEPTH_BUCKETS, prior as u64);
+                Ok(())
+            }
+            Err(TrySendError::Full(job) | TrySendError::Disconnected(job)) => {
+                self.queued.fetch_sub(1, Ordering::Relaxed);
+                databp_telemetry::count!("server.queue.rejected");
+                Err(job)
+            }
         }
-        // Optimistic reserve: claim a queue slot, undo on overflow.
-        let prior = self.state.queued.fetch_add(1, Ordering::SeqCst);
-        if prior >= self.state.queue_depth {
-            self.state.queued.fetch_sub(1, Ordering::SeqCst);
-            databp_telemetry::count!("server.queue.rejected");
-            return Err(job);
-        }
-        databp_telemetry::observe!("server.queue.depth", DEPTH_BUCKETS, prior as u64);
-        let shard = self.state.next_shard.fetch_add(1, Ordering::Relaxed) % self.state.shards.len();
-        self.state.shards[shard].lock().unwrap().push_back(job);
-        // Pair the push with the workers' parked re-check.
-        let _park = self.state.idle.lock().unwrap();
-        self.state.wake.notify_all();
-        Ok(())
     }
 
-    /// Jobs admitted but not yet picked up by a worker.
-    pub fn queued(&self) -> usize {
-        self.state.queued.load(Ordering::SeqCst)
-    }
-
-    /// Drains all queued jobs, then stops and joins every worker.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        self.state.stopping.store(true, Ordering::SeqCst);
-        {
-            let _park = self.state.idle.lock().unwrap();
-            self.state.wake.notify_all();
-        }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
+    /// Runs every queued job, then stops and joins every worker.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
-impl<T: Send + 'static> Drop for StealPool<T> {
+impl<T: Send + 'static> Drop for JobQueue<T> {
     fn drop(&mut self) {
-        self.stop_and_join();
+        drop(self.tx.take());
+        for h in self.workers.drain(..) {
+            // Handler panics are caught inside the worker, so a join
+            // error cannot carry one; nothing to report.
+            let _ = h.join();
+        }
     }
 }
 
@@ -192,102 +126,120 @@ impl<T: Send + 'static> Drop for StealPool<T> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::sync::mpsc::Receiver;
     use std::time::Duration;
+
+    /// A handler that reports each job's start on a channel, then waits
+    /// for a release on its gate before finishing.
+    fn gated() -> (
+        impl Fn(u32) + Send + Sync + 'static,
+        Receiver<u32>,
+        SyncSender<()>,
+    ) {
+        let (started_tx, started) = mpsc::channel();
+        let (release, gate) = mpsc::sync_channel::<()>(0);
+        let (started_tx, gate) = (Mutex::new(started_tx), Mutex::new(gate));
+        let handler = move |job: u32| {
+            started_tx.lock().unwrap().send(job).unwrap();
+            gate.lock().unwrap().recv().unwrap();
+        };
+        (handler, started, release)
+    }
 
     #[test]
     fn runs_every_submitted_job_across_workers() {
         let sum = Arc::new(AtomicU64::new(0));
-        let pool = {
+        let queue = {
             let sum = Arc::clone(&sum);
-            StealPool::start(4, 256, move |_w, job: u64| {
+            JobQueue::start(4, 256, move |job: u64| {
                 sum.fetch_add(job, Ordering::SeqCst);
             })
         };
         for i in 1..=100u64 {
-            pool.submit(i).unwrap();
+            queue.submit(i).unwrap();
         }
-        pool.shutdown();
+        queue.shutdown();
         assert_eq!(sum.load(Ordering::SeqCst), 5050);
     }
 
     #[test]
     fn saturated_pool_rejects_deterministically() {
-        // One worker, blocked by a gate: the queue fills to exactly
-        // `depth`, and the next submit must bounce.
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let started = Arc::new((Mutex::new(false), Condvar::new()));
-        let pool = {
-            let gate = Arc::clone(&gate);
-            let started = Arc::clone(&started);
-            StealPool::start(1, 3, move |_w, _job: u32| {
-                *started.0.lock().unwrap() = true;
-                started.1.notify_all();
-                let mut open = gate.0.lock().unwrap();
-                while !*open {
-                    open = gate.1.wait(open).unwrap();
-                }
-            })
-        };
-        // First job occupies the worker (wait until it is *running*,
-        // i.e. out of the queue)...
-        pool.submit(0).unwrap();
-        {
-            let mut running = started.0.lock().unwrap();
-            while !*running {
-                running = started.1.wait(running).unwrap();
-            }
-        }
-        // ...then exactly `depth` more fit in the queue.
+        // One worker, held inside its first job: the queue fills to
+        // exactly `depth`, and the next submit must bounce.
+        let (handler, started, release) = gated();
+        let queue = JobQueue::start(1, 3, handler);
+        queue.submit(0).unwrap();
+        assert_eq!(started.recv().unwrap(), 0, "first job is running");
         for i in 1..=3 {
-            pool.submit(i).unwrap();
+            queue.submit(i).unwrap();
         }
-        assert_eq!(pool.queued(), 3);
-        assert_eq!(pool.submit(99), Err(99), "admission control rejects");
-        // Open the gate; shutdown drains the remaining queued jobs.
-        *gate.0.lock().unwrap() = true;
-        gate.1.notify_all();
-        pool.shutdown();
+        assert_eq!(queue.submit(99), Err(99), "admission control rejects");
+        for _ in 0..4 {
+            release.send(()).unwrap();
+        }
+        queue.shutdown();
     }
 
     #[test]
-    fn idle_worker_steals_from_a_loaded_shard() {
-        // Two workers; the round-robin spread plus an artificially slow
-        // first job forces cross-shard pickup. We can't assert *which*
-        // worker ran what (steals are timing-dependent), only that all
-        // jobs complete promptly even though one worker is stuck.
-        let done = Arc::new(AtomicU64::new(0));
-        let pool = {
-            let done = Arc::clone(&done);
-            StealPool::start(2, 64, move |_w, slow: bool| {
-                if slow {
-                    std::thread::sleep(Duration::from_millis(50));
-                }
-                done.fetch_add(1, Ordering::SeqCst);
-            })
-        };
-        pool.submit(true).unwrap();
+    fn idle_worker_takes_queued_work_while_another_is_busy() {
+        // Two workers; the first job holds one of them until every other
+        // job has run, so the other worker must take them all.
+        let (release, gate) = mpsc::sync_channel::<()>(0);
+        let (done_tx, done) = mpsc::channel::<()>();
+        let (gate, done_tx) = (Mutex::new(gate), Mutex::new(done_tx));
+        let queue = JobQueue::start(2, 64, move |slow: bool| {
+            if slow {
+                gate.lock().unwrap().recv().unwrap();
+            } else {
+                done_tx.lock().unwrap().send(()).unwrap();
+            }
+        });
+        queue.submit(true).unwrap();
         for _ in 0..20 {
-            pool.submit(false).unwrap();
+            queue.submit(false).unwrap();
         }
-        pool.shutdown();
-        assert_eq!(done.load(Ordering::SeqCst), 21);
+        for _ in 0..20 {
+            done.recv_timeout(Duration::from_secs(30))
+                .expect("the idle worker runs the queued jobs");
+        }
+        release.send(()).unwrap();
+        queue.shutdown();
     }
 
     #[test]
     fn panicking_job_does_not_kill_the_worker() {
         let done = Arc::new(AtomicU64::new(0));
-        let pool = {
+        let queue = {
             let done = Arc::clone(&done);
-            StealPool::start(1, 64, move |_w, explode: bool| {
+            JobQueue::start(1, 64, move |explode: bool| {
                 if explode {
                     panic!("job panic");
                 }
                 done.fetch_add(1, Ordering::SeqCst);
             })
         };
-        pool.submit(true).unwrap();
-        pool.submit(false).unwrap();
-        pool.shutdown();
+        queue.submit(true).unwrap();
+        queue.submit(false).unwrap();
+        queue.shutdown();
         assert_eq!(done.load(Ordering::SeqCst), 1, "worker survived the panic");
+    }
+
+    #[test]
+    fn shutdown_drains_the_queued_jobs() {
+        // The only worker is held in job 0 while jobs 1..=3 wait; the
+        // queue hangs up (what `Drop` does first) before any of them
+        // runs, and they all still run.
+        let (handler, started, release) = gated();
+        let mut queue = JobQueue::start(1, 8, handler);
+        for i in 0..4 {
+            queue.submit(i).unwrap();
+        }
+        assert_eq!(started.recv().unwrap(), 0);
+        drop(queue.tx.take());
+        for _ in 0..4 {
+            release.send(()).unwrap();
+        }
+        queue.shutdown();
+        assert_eq!(started.iter().collect::<Vec<_>>(), vec![1, 2, 3]);
     }
 }

@@ -1,10 +1,11 @@
-//! The replay service: scheduler + cache + batch API glued together.
+//! The replay service: job queue + cache + batch API glued together.
 //!
-//! A [`Server`] owns a [`StealPool`](crate::scheduler::StealPool) of
+//! A [`Server`] owns a [`JobQueue`](crate::scheduler::JobQueue) of
 //! replay workers and a [`TraceCache`](crate::cache::TraceCache) of
 //! completed analyses keyed by workload hash. Each submitted
-//! [`Request`] becomes a job; the worker that picks it up answers it
-//! one of three ways:
+//! [`Request`] becomes a job carrying the sending half of its
+//! [`Ticket`], a one-shot channel; the worker that picks it up answers
+//! it one of three ways:
 //!
 //! * **miss** — first sight of this workload: run the streamed
 //!   trace→replay pipeline once
@@ -29,12 +30,15 @@
 //! **warm-starts** from the same directory: each stored trace is
 //! reconstituted into a full cache entry (plain build recompiled, one
 //! phase-2 [`reanalyze`] walk, *zero* phase-1 work), so the first
-//! repeat request after a restart is already a cache hit.
+//! repeat request after a restart is already a cache hit. An entry is
+//! trusted only when the workload hash recorded inside it matches its
+//! file name; any other entry is skipped and re-traced on demand.
 
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
+use std::sync::Arc;
 
 use databp_harness::{analyze_opts, normalize_ladder, reanalyze, AnalyzeOpts, WorkloadResults};
 use databp_machine::PageSize;
@@ -43,7 +47,7 @@ use databp_workloads::{compile_plain, Prepared, Workload};
 
 use crate::cache::{Lookup, TraceCache};
 use crate::request::{body_for, query_body_for, CacheStatus, Request, Response};
-use crate::scheduler::StealPool;
+use crate::scheduler::JobQueue;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -115,47 +119,55 @@ pub struct ServerStats {
     pub cache_entries: u64,
 }
 
-/// A handle to one in-flight request's eventual [`Response`].
-#[derive(Clone)]
+/// A one-shot handle to one in-flight request's eventual [`Response`].
+///
+/// The worker answers on the matching sender, at most once. If it drops
+/// the sender without answering, the ticket resolves to an `internal
+/// error` response instead, so every submitted request is answered
+/// exactly once.
 pub struct Ticket {
-    slot: Arc<(Mutex<Option<Response>>, Condvar)>,
+    id: String,
+    rx: Receiver<Response>,
 }
 
 impl Ticket {
-    fn new() -> Ticket {
-        Ticket {
-            slot: Arc::new((Mutex::new(None), Condvar::new())),
-        }
-    }
-
-    fn fulfill(&self, resp: Response) {
-        let mut slot = self.slot.0.lock().unwrap();
-        *slot = Some(resp);
-        self.slot.1.notify_all();
+    fn new(id: &str) -> (Ticket, Sender<Response>) {
+        let (tx, rx) = mpsc::channel();
+        let ticket = Ticket {
+            id: id.to_string(),
+            rx,
+        };
+        (ticket, tx)
     }
 
     /// Blocks until the response is ready.
-    pub fn wait(&self) -> Response {
-        let mut slot = self.slot.0.lock().unwrap();
-        loop {
-            if let Some(resp) = slot.take() {
-                return resp;
-            }
-            slot = self.slot.1.wait(slot).unwrap();
+    pub fn wait(self) -> Response {
+        self.rx.recv().unwrap_or_else(|_| self.unanswered())
+    }
+
+    /// Takes the response if it is already ready. Once it has returned
+    /// one, the ticket is spent.
+    pub fn try_take(&self) -> Option<Response> {
+        match self.rx.try_recv() {
+            Ok(resp) => Some(resp),
+            Err(TryRecvError::Empty) => None,
+            Err(TryRecvError::Disconnected) => Some(self.unanswered()),
         }
     }
 
-    /// Takes the response if it is already ready.
-    pub fn try_take(&self) -> Option<Response> {
-        self.slot.0.lock().unwrap().take()
+    fn unanswered(&self) -> Response {
+        Response::failure(
+            &self.id,
+            "internal error: request dropped without an answer",
+        )
     }
 }
 
-type Job = (Request, Ticket);
+type Job = (Request, Sender<Response>);
 
-/// The sharded multi-session replay service.
+/// The multi-session replay service.
 pub struct Server {
-    pool: StealPool<Job>,
+    jobs: JobQueue<Job>,
     cache: TraceCache<WorkloadResults>,
     stats: Arc<StatsInner>,
     config: ServerConfig,
@@ -172,18 +184,22 @@ impl Server {
             warm_start(&cache, dir);
         }
         let stats = Arc::new(StatsInner::default());
-        let pool = {
+        let jobs = {
             let cache = cache.clone();
             let stats = Arc::clone(&stats);
             let cfg = config.clone();
-            StealPool::start(config.workers, config.queue_depth, move |_w, job: Job| {
-                let (req, ticket) = job;
-                let resp = Server::process(&cfg, &cache, &stats, &req);
-                ticket.fulfill(resp);
-            })
+            JobQueue::start(
+                config.workers,
+                config.queue_depth,
+                move |(req, reply): Job| {
+                    let resp = Server::process(&cfg, &cache, &stats, &req);
+                    // The ticket may already be gone; nobody is left to tell.
+                    let _ = reply.send(resp);
+                },
+            )
         };
         Server {
-            pool,
+            jobs,
             cache,
             stats,
             config,
@@ -207,8 +223,8 @@ impl Server {
     // API; the Err path is the rare shed path, not a hot path.
     #[allow(clippy::result_large_err)]
     pub fn submit(&self, req: Request) -> Result<Ticket, Request> {
-        let ticket = Ticket::new();
-        match self.pool.submit((req, ticket.clone())) {
+        let (ticket, reply) = Ticket::new(&req.id);
+        match self.jobs.submit((req, reply)) {
             Ok(()) => Ok(ticket),
             Err((req, _)) => {
                 self.stats.rejected.fetch_add(1, Ordering::Relaxed);
@@ -250,7 +266,7 @@ impl Server {
 
     /// Drains queued work and joins the workers.
     pub fn shutdown(self) {
-        self.pool.shutdown();
+        self.jobs.shutdown();
     }
 
     /// Answers one query (runs on a worker thread).
@@ -345,15 +361,17 @@ impl Server {
 }
 
 /// Version tag of the store meta blob (bumped if the layout changes).
-const META_VERSION: u32 = 1;
+const META_VERSION: u32 = 2;
 
-/// Encodes the base-run measurements a warm start cannot rederive
-/// without re-running phase 1: base time, instruction count, and the
-/// program output (the workload-integrity reference). Everything else
-/// in a [`Prepared`] is recompiled or decoded from the trace columns.
+/// Encodes the traced workload's hash and the base-run measurements a
+/// warm start cannot rederive without re-running phase 1: base time,
+/// instruction count, and the program output (the workload-integrity
+/// reference). Everything else in a [`Prepared`] is recompiled or
+/// decoded from the trace columns.
 fn encode_meta(prepared: &Prepared) -> Vec<u8> {
-    let mut out = Vec::with_capacity(28 + prepared.output.len());
+    let mut out = Vec::with_capacity(36 + prepared.output.len());
     out.extend_from_slice(&META_VERSION.to_le_bytes());
+    out.extend_from_slice(&prepared.workload.workload_hash().to_le_bytes());
     out.extend_from_slice(&prepared.base_us.to_bits().to_le_bytes());
     out.extend_from_slice(&prepared.instructions.to_le_bytes());
     out.extend_from_slice(&(prepared.output.len() as u64).to_le_bytes());
@@ -361,8 +379,11 @@ fn encode_meta(prepared: &Prepared) -> Vec<u8> {
     out
 }
 
-/// Decodes [`encode_meta`]'s blob: `(base_us, instructions, output)`.
-fn decode_meta(meta: &[u8]) -> Result<(f64, u64, Vec<u8>), String> {
+/// Decodes [`encode_meta`]'s blob for the store entry named `key`:
+/// `(base_us, instructions, output)`. A blob recording another
+/// workload's hash is an error: the file was copied or renamed over
+/// this key, and its trace belongs to that other workload.
+fn decode_meta(meta: &[u8], key: u64) -> Result<(f64, u64, Vec<u8>), String> {
     let take8 = |at: usize| -> Result<u64, String> {
         let bytes: [u8; 8] = meta
             .get(at..at + 8)
@@ -380,10 +401,14 @@ fn decode_meta(meta: &[u8]) -> Result<(f64, u64, Vec<u8>), String> {
     if version != META_VERSION {
         return Err(format!("unknown meta version {version}"));
     }
-    let base_us = f64::from_bits(take8(4)?);
-    let instructions = take8(12)?;
-    let output_len = take8(20)? as usize;
-    let output = meta.get(28..).ok_or("meta blob truncated")?;
+    let traced = take8(4)?;
+    if traced != key {
+        return Err(format!("entry holds the trace of workload {traced:016x}"));
+    }
+    let base_us = f64::from_bits(take8(12)?);
+    let instructions = take8(20)?;
+    let output_len = take8(28)? as usize;
+    let output = meta.get(36..).ok_or("meta blob truncated")?;
     if output.len() != output_len {
         return Err(format!(
             "meta output length mismatch: header says {output_len}, blob has {}",
@@ -420,7 +445,8 @@ fn known_workloads() -> std::collections::HashMap<u64, Workload> {
 }
 
 /// Rebuilds cache entries from the persistent store: for each stored
-/// trace whose key names a bundled workload, recompile the plain build,
+/// trace whose key names a bundled workload and whose meta blob records
+/// that same workload, recompile the plain build,
 /// reattach the trace and base-run meta, and run one phase-2 walk at
 /// the default ladder. No phase 1 runs — that is the store's whole
 /// point. Entries that fail to load or decode are skipped with a
@@ -454,7 +480,7 @@ fn warm_start(cache: &TraceCache<WorkloadResults>, dir: &Path) {
                 continue;
             }
         };
-        let (base_us, instructions, output) = match decode_meta(&meta) {
+        let (base_us, instructions, output) = match decode_meta(&meta, key) {
             Ok(parts) => parts,
             Err(e) => {
                 eprintln!("warning: trace store entry {key:016x} has bad meta: {e}");
@@ -522,16 +548,24 @@ mod tests {
         let w = Workload::all().remove(0).scaled_down();
         let prepared = databp_workloads::prepare(&w).expect("workload runs");
         let meta = encode_meta(&prepared);
-        let (base_us, instructions, output) = decode_meta(&meta).expect("own blob decodes");
+        let key = w.workload_hash();
+        let (base_us, instructions, output) = decode_meta(&meta, key).expect("own blob decodes");
         assert_eq!(base_us.to_bits(), prepared.base_us.to_bits());
         assert_eq!(instructions, prepared.instructions);
         assert_eq!(output, prepared.output);
         for cut in 0..meta.len() {
-            assert!(decode_meta(&meta[..cut]).is_err(), "prefix {cut} accepted");
+            assert!(
+                decode_meta(&meta[..cut], key).is_err(),
+                "prefix {cut} accepted"
+            );
         }
         let mut wrong = meta.clone();
         wrong[0] ^= 0xff; // version
-        assert!(decode_meta(&wrong).is_err());
+        assert!(decode_meta(&wrong, key).is_err());
+        assert!(
+            decode_meta(&meta, key ^ 1).is_err(),
+            "a blob under another workload's key"
+        );
     }
 
     #[test]
@@ -687,6 +721,25 @@ mod tests {
         assert_eq!(after.to_json_line(), want.to_json_line());
         faulted.shutdown();
         clean.shutdown();
+    }
+
+    #[test]
+    fn a_job_dropped_without_an_answer_resolves_its_ticket() {
+        let (waited, reply) = Ticket::new("w");
+        drop(reply);
+        let resp = waited.wait();
+        assert_eq!(resp.id, "w");
+        assert!(!resp.ok);
+        assert!(resp.error.as_deref().unwrap().starts_with("internal error"));
+
+        let (polled, reply) = Ticket::new("p");
+        assert!(polled.try_take().is_none(), "nothing answered yet");
+        drop(reply);
+        let resp = polled
+            .try_take()
+            .expect("a dropped sender resolves the ticket");
+        assert_eq!((resp.id.as_str(), resp.ok), ("p", false));
+        assert!(resp.error.as_deref().unwrap().starts_with("internal error"));
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!
 //! The engine is event-driven: [`StreamingReplay`] accepts event
 //! batches as phase 1 produces them, overlapping replay with trace
-//! generation (see `databp-trace`'s `batch_channel`). Online session
+//! generation (see `databp-trace`'s `BatchSink`). Online session
 //! membership goes through [`StreamMembership`]; [`FixedMembership`]
 //! adapts a precomputed [`Membership`] table.
 

@@ -130,8 +130,8 @@ pub struct TraceStats {
 ///
 /// The tracer is generic over its sink so the same instrumentation
 /// serves both pipelines: [`Trace`] materializes the whole event list
-/// (the paper's two sequential phases), while `StreamSink` batches
-/// events into a channel consumed concurrently by the replay engine.
+/// (the paper's two sequential phases), while [`BatchSink`](crate::BatchSink)
+/// hands event batches to the replay engine as they fill.
 pub trait EventSink {
     /// Accepts the next event, in program order.
     fn emit(&mut self, ev: Event);

@@ -19,9 +19,11 @@
 //!   the global table ([`FrameMap`], [`GlobalSpec`]). The tracer is
 //!   generic over an [`EventSink`], so the same instrumentation can
 //!   materialize a [`Trace`] or stream batches to a concurrent consumer;
-//! * the streaming pipeline ([`batch_channel`], [`EventBatch`],
-//!   [`StreamSink`]) — a bounded SPSC channel that lets phase 2 replay
-//!   events while phase 1 is still generating them;
+//! * the streaming pipeline's one sink, [`BatchSink`] — it tees the
+//!   trace and hands fixed-size event batches to phase 2 while phase 1
+//!   is still generating them, either inline ([`inline_sink`]) or over
+//!   a bounded `std::sync::mpsc` channel to a consumer thread
+//!   ([`channel_sink`], [`BatchStream`]);
 //! * the columnar DBPT format ([`write_columnar`] / [`read_columnar`]),
 //!   the only binary trace form, and the persistent [`TraceStore`]
 //!   built on it, plus a text codec for debugging ([`write_text`] /
@@ -58,5 +60,5 @@ pub use columnar::{
 };
 pub use event::{Event, EventSink, ObjectDesc, Trace, TraceStats};
 pub use store::TraceStore;
-pub use stream::{batch_channel, BatchReceiver, BatchSender, EventBatch, StreamSink};
+pub use stream::{channel_sink, inline_sink, BatchSink, BatchStream};
 pub use tracer::{FrameMap, FrameVar, GlobalSpec, Tracer};

@@ -99,8 +99,8 @@ pub struct GlobalSpec {
 ///
 /// The tracer is generic over its [`EventSink`]: [`Tracer::new`] records
 /// into a materialized [`Trace`], while [`Tracer::with_sink`] streams the
-/// same events into any sink (e.g. `StreamSink`, which feeds the replay
-/// engine concurrently).
+/// same events into any sink (e.g. [`BatchSink`](crate::BatchSink), which
+/// feeds the replay engine while the run goes on).
 #[derive(Debug)]
 pub struct Tracer<S: EventSink = Trace> {
     frame_map: FrameMap,
