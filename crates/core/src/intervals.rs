@@ -4,10 +4,11 @@
 //!
 //! * as the **oracle** for property-testing [`PageMap`] — the two must
 //!   agree on byte-exact hits for any operation sequence;
-//! * as the **ablation baseline** for the lookup-structure benchmark
-//!   (`bench/ablation_lookup.rs`): the paper's hash-table-of-bitmaps
-//!   design exists because per-write lookups must be cheap even with
-//!   hundreds of monitors installed.
+//! * as the **ablation baseline** for the lookup structure (the
+//!   lookup-structure paragraph of EXPERIMENTS.md's "Benchmarks"
+//!   section records the measurement): the paper's
+//!   hash-table-of-bitmaps design exists because per-write lookups
+//!   must be cheap even with hundreds of monitors installed.
 
 use crate::monitor::{Monitor, MonitorId};
 

@@ -165,29 +165,36 @@ pub fn analyze(workload: &Workload) -> WorkloadResults {
 pub fn analyze_opts(workload: &Workload, opts: &AnalyzeOpts) -> WorkloadResults {
     let _span = databp_telemetry::time!("harness.analyze");
     let ladder = opts.normalized_ladder();
-    let (prepared, all, candidates, per_size) = if opts.stream {
-        analyze_streamed(workload, opts, &ladder)
-    } else {
-        analyze_materialized(workload, &ladder)
-    };
+    if !opts.stream {
+        // The classic two-phase reference: trace fully materialized,
+        // then replayed.
+        let prepared = {
+            let _t = databp_telemetry::time!("harness.prepare");
+            databp_workloads::prepare(workload)
+                .unwrap_or_else(|e| panic!("workload {} failed: {e}", workload.name))
+        };
+        return reanalyze(prepared, &ladder);
+    }
+    let (prepared, all, candidates, per_size) = analyze_streamed(workload, opts, &ladder);
     finish_results(prepared, all, candidates, per_size, ladder)
 }
 
-/// Re-runs phase 2 only, against the materialized trace already inside
-/// `prepared`, at a possibly different page-size ladder. No workload is
-/// compiled or traced and no `harness.analyze` span is recorded — this
-/// is the replay service's cache-hit path for a ladder the cached
-/// results don't cover yet (one fresh trace walk, zero phase-1 work).
+/// Runs phase 2 only, against the materialized trace already inside
+/// `prepared`, at a possibly different page-size ladder — the classic
+/// materialize-then-replay path. No workload is compiled or traced and
+/// no `harness.analyze` span is recorded of its own: this is the
+/// replay service's warm-start and cache-hit path for a ladder the
+/// cached results don't cover yet (one fresh trace walk, zero phase-1
+/// work), and [`analyze_opts`]' `stream: false` reference.
 ///
-/// For the same trace and ladder the results are byte-identical to
-/// [`analyze_opts`] (the materialized and streamed paths already are,
-/// by test).
+/// For the same trace and ladder the results are byte-identical to the
+/// streamed [`analyze_opts`] (by test).
 ///
 /// # Panics
 ///
 /// Panics if `prepared.trace` is empty — the caller cached a trace-less
 /// build, which is a bug.
-pub fn reanalyze(prepared: &Prepared, ladder: &[PageSize]) -> WorkloadResults {
+pub fn reanalyze(prepared: Prepared, ladder: &[PageSize]) -> WorkloadResults {
     let _span = databp_telemetry::time!("harness.reanalyze");
     assert!(
         !prepared.trace.is_empty(),
@@ -203,7 +210,7 @@ pub fn reanalyze(prepared: &Prepared, ladder: &[PageSize]) -> WorkloadResults {
         (all, candidates, set)
     };
     let per_size = simulate_sizes(&prepared.trace, &set, &ladder);
-    finish_results(prepared.clone(), all, candidates, per_size, ladder)
+    finish_results(prepared, all, candidates, per_size, ladder)
 }
 
 /// The shared tail of every analysis path: zero-hit session filtering
@@ -242,27 +249,6 @@ fn finish_results(
         ladder_counts,
         candidates,
     }
-}
-
-/// The classic two-phase path: trace fully materialized, then replayed.
-fn analyze_materialized(
-    workload: &Workload,
-    ladder: &[PageSize],
-) -> (Prepared, Vec<Session>, usize, Vec<Vec<Counts>>) {
-    let prepared = {
-        let _t = databp_telemetry::time!("harness.prepare");
-        databp_workloads::prepare(workload)
-            .unwrap_or_else(|e| panic!("workload {} failed: {e}", workload.name))
-    };
-    let (all, candidates, set) = {
-        let _t = databp_telemetry::time!("harness.sessions");
-        let all = enumerate_sessions(&prepared.plain.debug, &prepared.trace);
-        let candidates = all.len();
-        let set = SessionSet::new(all.clone(), &prepared.plain.debug, &prepared.trace);
-        (all, candidates, set)
-    };
-    let per_size = simulate_sizes(&prepared.trace, &set, ladder);
-    (prepared, all, candidates, per_size)
 }
 
 /// The streaming path: the traced run produces event batches that are
@@ -493,12 +479,12 @@ mod tests {
         let w = Workload::by_name("tex").unwrap().scaled_down();
         let base = analyze(&w);
         // Same ladder: identical counts, sessions, and candidate totals.
-        let again = reanalyze(&base.prepared, &base.ladder);
+        let again = reanalyze(base.prepared.clone(), &base.ladder);
         assert_eq!(again.sessions, base.sessions);
         assert_eq!(again.candidates, base.candidates);
         assert_eq!(again.ladder_counts, base.ladder_counts);
         // Wider ladder: the 4K/8K rows still match a direct analysis.
-        let wide = reanalyze(&base.prepared, &[PageSize::K16]);
+        let wide = reanalyze(base.prepared.clone(), &[PageSize::K16]);
         assert_eq!(wide.ladder, vec![PageSize::K4, PageSize::K8, PageSize::K16]);
         assert_eq!(wide.counts4, base.counts4);
         assert_eq!(wide.counts8, base.counts8);

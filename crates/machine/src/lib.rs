@@ -62,8 +62,7 @@ pub use heap::{HeapAlloc, HeapStats};
 pub use isa::{decode, encode, Instr, MarkKind, Reg, SYS_TRAP_MAX, TP_TRAP_BASE};
 pub use layout::{CODE_BASE, DATA_BASE, HEAP_BASE, HEAP_END, MEM_SIZE, STACK_LIMIT, STACK_TOP};
 pub use machine::{
-    Fault, Hooks, Machine, NoHooks, Program, StopConfig, StopReason, StoreBatcher, StoreEvent,
-    Syscall,
+    Fault, Hooks, Machine, NoHooks, Program, StopConfig, StopReason, StoreEvent, Syscall,
 };
 pub use mem::Memory;
 pub use mmu::{Mmu, PageSize};

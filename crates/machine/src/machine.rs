@@ -224,20 +224,13 @@ const US_ARG: f64 = 2.0;
 /// High-frequency execution callbacks.
 ///
 /// All methods default to no-ops so tracers and strategies implement only
-/// what they need. Methods receive plain-data events; implementations must
-/// not re-enter the machine.
+/// what they need. Methods receive plain-data events one at a time, in
+/// program order; implementations must not re-enter the machine. Any
+/// batching (e.g. handing events to another thread) is the consumer's
+/// business, not the machine's.
 pub trait Hooks {
     /// A store committed.
     fn on_store(&mut self, _ev: &StoreEvent) {}
-    /// A batch of stores committed, in program order. Batches are
-    /// produced by [`StoreBatcher`]; the default forwards each event to
-    /// [`Hooks::on_store`], so implementations only override this when
-    /// they can amortize per-event cost (e.g. a streaming consumer).
-    fn on_store_batch(&mut self, evs: &[StoreEvent]) {
-        for ev in evs {
-            self.on_store(ev);
-        }
-    }
     /// A CodePatch `chk` executed (before its store commits).
     fn on_chk(&mut self, _ev: &StoreEvent) {}
     /// Function `fid`'s frame is set up; `fp`/`sp` delimit it.
@@ -258,90 +251,6 @@ pub trait Hooks {
 pub struct NoHooks;
 
 impl Hooks for NoHooks {}
-
-/// Buffers consecutive store events and delivers them to the inner hooks
-/// as fixed-size batches via [`Hooks::on_store_batch`] — the machine-side
-/// half of the streaming trace pipeline.
-///
-/// Stores dominate every trace, so batching them amortizes whatever the
-/// inner hook does per event (for a streaming tracer: channel sends).
-/// Every *other* hook first flushes the pending batch, preserving exact
-/// event ordering for the inner implementation. Call
-/// [`StoreBatcher::flush`] after the run to deliver the tail batch.
-#[derive(Debug)]
-pub struct StoreBatcher<'h, H: Hooks + ?Sized> {
-    inner: &'h mut H,
-    buf: Vec<StoreEvent>,
-    capacity: usize,
-}
-
-impl<'h, H: Hooks + ?Sized> StoreBatcher<'h, H> {
-    /// Wraps `inner`, delivering stores in batches of up to `capacity`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(inner: &'h mut H, capacity: usize) -> Self {
-        assert!(capacity > 0, "StoreBatcher capacity must be nonzero");
-        StoreBatcher {
-            inner,
-            buf: Vec::with_capacity(capacity),
-            capacity,
-        }
-    }
-
-    /// Delivers any buffered stores to the inner hooks now.
-    pub fn flush(&mut self) {
-        if !self.buf.is_empty() {
-            self.inner.on_store_batch(&self.buf);
-            self.buf.clear();
-        }
-    }
-}
-
-impl<H: Hooks + ?Sized> Hooks for StoreBatcher<'_, H> {
-    fn on_store(&mut self, ev: &StoreEvent) {
-        self.buf.push(*ev);
-        if self.buf.len() == self.capacity {
-            self.flush();
-        }
-    }
-
-    fn on_store_batch(&mut self, evs: &[StoreEvent]) {
-        self.flush();
-        self.inner.on_store_batch(evs);
-    }
-
-    fn on_chk(&mut self, ev: &StoreEvent) {
-        self.flush();
-        self.inner.on_chk(ev);
-    }
-
-    fn on_enter(&mut self, fid: u16, fp: u32, sp: u32) {
-        self.flush();
-        self.inner.on_enter(fid, fp, sp);
-    }
-
-    fn on_exit(&mut self, fid: u16, fp: u32, sp: u32) {
-        self.flush();
-        self.inner.on_exit(fid, fp, sp);
-    }
-
-    fn on_heap_alloc(&mut self, seq: u32, ba: u32, ea: u32) {
-        self.flush();
-        self.inner.on_heap_alloc(seq, ba, ea);
-    }
-
-    fn on_heap_free(&mut self, seq: u32, ba: u32, ea: u32) {
-        self.flush();
-        self.inner.on_heap_free(seq, ba, ea);
-    }
-
-    fn on_heap_realloc(&mut self, seq: u32, old: (u32, u32), new: (u32, u32)) {
-        self.flush();
-        self.inner.on_heap_realloc(seq, old, new);
-    }
-}
 
 /// A loadable program image.
 #[derive(Debug, Clone, Default)]
@@ -1483,95 +1392,5 @@ mod tests {
         assert_eq!(p.store_count(), 2);
         assert_eq!(p.len(), 4);
         assert!(!p.is_empty());
-    }
-
-    /// Records every hook invocation in order, distinguishing batched
-    /// from single store delivery.
-    #[derive(Default)]
-    struct Recorder {
-        log: Vec<String>,
-    }
-
-    impl Hooks for Recorder {
-        fn on_store(&mut self, ev: &StoreEvent) {
-            self.log.push(format!("store {:#x}", ev.addr));
-        }
-        fn on_store_batch(&mut self, evs: &[StoreEvent]) {
-            self.log.push(format!("batch {}", evs.len()));
-            for ev in evs {
-                self.on_store(ev);
-            }
-        }
-        fn on_enter(&mut self, fid: u16, _fp: u32, _sp: u32) {
-            self.log.push(format!("enter {fid}"));
-        }
-    }
-
-    #[test]
-    fn store_batcher_batches_and_flushes_before_other_hooks() {
-        let ev = |addr: u32| StoreEvent {
-            pc: 0,
-            addr,
-            len: 4,
-            value: 0,
-            old: 0,
-        };
-        let mut rec = Recorder::default();
-        let mut b = StoreBatcher::new(&mut rec, 2);
-        b.on_store(&ev(0x10));
-        b.on_store(&ev(0x14)); // capacity reached: batch of 2 delivered
-        b.on_store(&ev(0x18));
-        b.on_enter(3, 0, 0); // must flush the pending single-store batch
-        b.on_store(&ev(0x1c));
-        b.flush(); // tail
-        b.flush(); // idempotent: empty flush delivers nothing
-        assert_eq!(
-            rec.log,
-            [
-                "batch 2",
-                "store 0x10",
-                "store 0x14",
-                "batch 1",
-                "store 0x18",
-                "enter 3",
-                "batch 1",
-                "store 0x1c",
-            ]
-        );
-    }
-
-    #[test]
-    fn store_batcher_preserves_machine_behaviour() {
-        // The same program run direct vs batched produces an identical
-        // hook event sequence (modulo batch framing).
-        let code = [
-            asm::lui(8, (DATA_BASE >> 16) as u16),
-            asm::addi(9, 0, 7),
-            asm::sw(9, 8, 0),
-            asm::sw(9, 8, 4),
-            asm::sw(9, 8, 8),
-            asm::halt(),
-        ];
-        let mut direct = Recorder::default();
-        let mut m1 = Machine::new();
-        m1.load(&Program::from_asm(&code));
-        m1.run(&mut direct, 1000).unwrap();
-
-        let mut rec = Recorder::default();
-        let mut m2 = Machine::new();
-        m2.load(&Program::from_asm(&code));
-        {
-            let mut b = StoreBatcher::new(&mut rec, 2);
-            m2.run(&mut b, 1000).unwrap();
-            b.flush();
-        }
-        let stores = |log: &[String]| {
-            log.iter()
-                .filter(|l| l.starts_with("store"))
-                .cloned()
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(stores(&direct.log), stores(&rec.log));
-        assert_eq!(m1.cpu().pc(), m2.cpu().pc());
     }
 }

@@ -420,7 +420,7 @@ fn hit_value(hit: &WriteHit) -> Value {
 /// zero phase-2 work.
 ///
 /// The query runs as a columnar pushdown scan over the prepared
-/// workload's cached DBPT v2 bytes
+/// workload's cached DBPT bytes
 /// ([`Prepared::columnar_bytes`](databp_workloads::Prepared::columnar_bytes)):
 /// zone-refuted blocks are skipped undecoded, surviving blocks decode
 /// only the columns the query reads, fanned across `jobs` workers with

@@ -42,7 +42,7 @@ use std::sync::Arc;
 
 use databp_harness::{analyze_opts, normalize_ladder, reanalyze, AnalyzeOpts, WorkloadResults};
 use databp_machine::PageSize;
-use databp_trace::TraceStore;
+use databp_trace::{read_columnar, write_columnar, TraceStore};
 use databp_workloads::{compile_plain, Prepared, Workload};
 
 use crate::cache::{Lookup, TraceCache};
@@ -336,7 +336,7 @@ impl Server {
                 stats.cache_rewalks.fetch_add(1, Ordering::Relaxed);
                 databp_telemetry::count!("server.cache.rewalks");
                 let merged = merged_ladder(&results.ladder, &want);
-                let fresh = reanalyze(&results.prepared, &merged);
+                let fresh = reanalyze(results.prepared.clone(), &merged);
                 let bytes = entry_bytes(&fresh);
                 let arc = cache.update(key, fresh, bytes);
                 Ok((CacheStatus::Rewalk, arc))
@@ -349,6 +349,7 @@ impl Server {
                     ..AnalyzeOpts::default()
                 };
                 let results = analyze_opts(&workload, &opts);
+                encode_entry(&results.prepared);
                 let bytes = entry_bytes(&results);
                 let arc = cache.fill(guard, results, bytes);
                 if let Some(dir) = &cfg.store {
@@ -422,8 +423,8 @@ fn decode_meta(meta: &[u8], key: u64) -> Result<(f64, u64, Vec<u8>), String> {
 /// best-effort: a failed save costs a warning and a re-trace after the
 /// next restart, never the response.
 fn save_to_store(dir: &Path, key: u64, prepared: &Prepared) {
-    let result = TraceStore::open(dir)
-        .and_then(|store| store.save(key, &prepared.trace, &encode_meta(prepared)));
+    let result =
+        TraceStore::open(dir).and_then(|store| store.save_encoded(key, prepared.columnar_bytes()));
     if let Err(e) = result {
         eprintln!(
             "warning: trace store save failed for {} ({key:016x}): {e}",
@@ -446,11 +447,12 @@ fn known_workloads() -> std::collections::HashMap<u64, Workload> {
 
 /// Rebuilds cache entries from the persistent store: for each stored
 /// trace whose key names a bundled workload and whose meta blob records
-/// that same workload, recompile the plain build,
-/// reattach the trace and base-run meta, and run one phase-2 walk at
-/// the default ladder. No phase 1 runs — that is the store's whole
-/// point. Entries that fail to load or decode are skipped with a
-/// warning (the next miss simply re-traces and overwrites them).
+/// that same workload, recompile the plain build, reattach the trace,
+/// its DBPT bytes (the file itself) and the base-run meta, and run one
+/// phase-2 walk at the default ladder. No phase 1 runs — that is the
+/// store's whole point. Entries that fail to load or decode, or hold an
+/// empty trace, are skipped with a warning (the next miss simply
+/// re-traces and overwrites them).
 fn warm_start(cache: &TraceCache<WorkloadResults>, dir: &Path) {
     let store = match TraceStore::open(dir) {
         Ok(s) => s,
@@ -472,14 +474,27 @@ fn warm_start(cache: &TraceCache<WorkloadResults>, dir: &Path) {
             eprintln!("warning: trace store entry {key:016x} names no bundled workload, skipping");
             continue;
         };
-        let (trace, meta) = match store.load(key) {
-            Ok(Some(entry)) => entry,
+        let file = match store.load_encoded(key) {
+            Ok(Some(file)) => file,
             Ok(None) => continue,
             Err(e) => {
                 eprintln!("warning: trace store entry {key:016x} unreadable: {e}");
                 continue;
             }
         };
+        let (trace, meta) = match read_columnar(&file) {
+            Ok(entry) => entry,
+            Err(e) => {
+                eprintln!("warning: trace store entry {key:016x} unreadable: {e}");
+                continue;
+            }
+        };
+        if trace.is_empty() {
+            // Every bundled workload enters `main`, so a real trace is
+            // never empty; replaying this one would trust a bad entry.
+            eprintln!("warning: trace store entry {key:016x} holds an empty trace, skipping");
+            continue;
+        }
         let (base_us, instructions, output) = match decode_meta(&meta, key) {
             Ok(parts) => parts,
             Err(e) => {
@@ -496,8 +511,11 @@ fn warm_start(cache: &TraceCache<WorkloadResults>, dir: &Path) {
             instructions,
             output,
         );
+        // The file just read is the trace's DBPT encoding, meta blob
+        // and all: keep it for queries instead of encoding again.
+        prepared.adopt_columnar(Arc::new(file));
         let ladder = normalize_ladder(&[]);
-        let results = reanalyze(&prepared, &ladder);
+        let results = reanalyze(prepared, &ladder);
         let bytes = entry_bytes(&results);
         if let Lookup::MustBuild(guard) = cache.lookup_or_begin(key) {
             cache.fill(guard, results, bytes);
@@ -514,11 +532,22 @@ fn merged_ladder(a: &[PageSize], b: &[PageSize]) -> Vec<PageSize> {
     out
 }
 
+/// Encodes `prepared`'s trace once as a store file, meta blob included,
+/// and adopts it as the DBPT bytes queries scan: the cache charges it
+/// from the start, and the store saves those same bytes.
+fn encode_entry(prepared: &Prepared) {
+    let mut file = Vec::new();
+    write_columnar(&prepared.trace, &encode_meta(prepared), &mut file).expect("in-memory encode");
+    prepared.adopt_columnar(Arc::new(file));
+}
+
 /// Bytes a cached entry is charged against the cache budget: the
-/// materialized trace dominates; the counts matrix and session list
-/// ride along.
+/// materialized trace dominates; its DBPT bytes (adopted when the
+/// entry was built), the counts matrix and the session list ride
+/// along.
 fn entry_bytes(r: &WorkloadResults) -> usize {
     r.prepared.trace.approx_bytes()
+        + r.prepared.columnar_bytes().len()
         + std::mem::size_of_val(r.sessions.as_slice())
         + r.ladder_counts
             .iter()
@@ -692,6 +721,44 @@ mod tests {
         );
         let json = first.body.as_ref().unwrap().to_json();
         assert!(json.contains(r#""kind":"count""#), "{json}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn cache_bytes_charge_every_retained_trace_byte() {
+        let server = tiny_server(1);
+        for name in ["fib", "matmul"] {
+            let plain = Request::simple("p", name, Scale::Small);
+            assert!(server.submit(plain.clone()).unwrap().wait().ok);
+            assert!(server.submit(plain).unwrap().wait().ok);
+            let mut q = Request::simple("q", name, Scale::Small);
+            q.query = Some("count if value > 0".to_string());
+            assert!(server.submit(q).unwrap().wait().ok);
+        }
+        // Recomputed footprint: the decoded trace, the DBPT bytes the
+        // queries scanned, the session list and the counts matrix.
+        let footprint: usize = ["fib", "matmul"]
+            .iter()
+            .map(|name| {
+                let key = Request::simple("k", name, Scale::Small)
+                    .resolve_workload()
+                    .unwrap()
+                    .workload_hash();
+                let Lookup::Hit(entry) = server.cache.lookup_or_begin(key) else {
+                    panic!("{name} is cached");
+                };
+                let counts: usize = entry
+                    .ladder_counts
+                    .iter()
+                    .map(|row| size_of_val(&row[..]))
+                    .sum();
+                entry.prepared.trace.approx_bytes()
+                    + entry.prepared.columnar_bytes().len()
+                    + size_of_val(&entry.sessions[..])
+                    + counts
+            })
+            .sum();
+        assert_eq!(server.stats().cache_bytes, footprint as u64);
         server.shutdown();
     }
 

@@ -5,6 +5,7 @@
 
 use databp_harness::Scale;
 use databp_server::{CacheStatus, Request, Server, ServerConfig};
+use databp_trace::{read_columnar, write_columnar, Trace};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -96,6 +97,23 @@ fn truncated_entry_is_skipped() {
     let dir = survives("truncated", |dir, key| {
         let file = &reference().file;
         fs::write(entry(dir, key), &file[..file.len() / 2]).unwrap();
+    });
+    assert_eq!(
+        fs::read(entry(&dir, key_of("fib"))).unwrap(),
+        reference().file
+    );
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn empty_trace_entry_is_skipped() {
+    let dir = survives("empty-trace", |dir, key| {
+        // A well-formed DBPT file with zero events, under fib's own
+        // key and with fib's own meta blob.
+        let (_, meta) = read_columnar(&reference().file).expect("reference decodes");
+        let mut file = Vec::new();
+        write_columnar(&Trace::new(), &meta, &mut file).unwrap();
+        fs::write(entry(dir, key), file).unwrap();
     });
     assert_eq!(
         fs::read(entry(&dir, key_of("fib"))).unwrap(),

@@ -21,6 +21,12 @@
 //! ([`SessionSet`]) and [`databp_core::MonitorPlan`] for executable
 //! strategy runs ([`SessionPlan`]) — and mirrors the paper's filtering of
 //! sessions with no monitor hits.
+//!
+//! [`SessionSet`] is the one object→sessions index. When replay
+//! overlaps the traced run, [`StreamSessionSet`] discovers heap
+//! sessions from the event stream and appends them to a `SessionSet`
+//! as they appear; [`enumerate_sessions`] stays the independent,
+//! whole-trace reference that online discovery is tested against.
 
 mod enumerate;
 mod kinds;

@@ -25,42 +25,72 @@ impl SessionSet {
     /// Indexes `sessions` for the program described by `debug` and the
     /// run recorded in `trace` (needed for heap allocation contexts).
     pub fn new(sessions: Vec<Session>, debug: &DebugInfo, trace: &Trace) -> Self {
+        SessionSet::with_contexts(sessions, debug, heap_contexts(trace))
+    }
+
+    /// Indexes `sessions`, resolving heap objects through `heap_ctx`
+    /// (allocation sequence number → context function ids) — which the
+    /// streaming path starts empty and grows with
+    /// [`SessionSet::discover_heap`].
+    pub(crate) fn with_contexts(
+        sessions: Vec<Session>,
+        debug: &DebugInfo,
+        heap_ctx: HashMap<u32, Vec<u16>>,
+    ) -> Self {
+        let static_owner = debug
+            .globals
+            .iter()
+            .filter_map(|g| Some((g.id, g.owner?)))
+            .collect();
         let mut s = SessionSet {
-            sessions,
+            sessions: Vec::with_capacity(sessions.len()),
             by_local: HashMap::new(),
             by_allloc: HashMap::new(),
             by_global: HashMap::new(),
-            static_owner: HashMap::new(),
+            static_owner,
             by_heap: HashMap::new(),
             by_allheap: HashMap::new(),
-            heap_ctx: heap_contexts(trace),
+            heap_ctx,
         };
-        for g in &debug.globals {
-            if let Some(owner) = g.owner {
-                s.static_owner.insert(g.id, owner);
-            }
-        }
-        for (i, sess) in s.sessions.iter().enumerate() {
-            let i = i as u32;
-            match *sess {
-                Session::OneLocalAuto { func, var } => {
-                    s.by_local.insert((func, var), i);
-                }
-                Session::AllLocalInFunc { func } => {
-                    s.by_allloc.insert(func, i);
-                }
-                Session::OneGlobalStatic { global } => {
-                    s.by_global.insert(global, i);
-                }
-                Session::OneHeap { seq } => {
-                    s.by_heap.insert(seq, i);
-                }
-                Session::AllHeapInFunc { func } => {
-                    s.by_allheap.insert(func, i);
-                }
-            }
+        for sess in sessions {
+            s.push(sess);
         }
         s
+    }
+
+    /// Appends `sess` and indexes it under the next session index.
+    fn push(&mut self, sess: Session) {
+        let i = self.sessions.len() as u32;
+        match sess {
+            Session::OneLocalAuto { func, var } => self.by_local.insert((func, var), i),
+            Session::AllLocalInFunc { func } => self.by_allloc.insert(func, i),
+            Session::OneGlobalStatic { global } => self.by_global.insert(global, i),
+            Session::OneHeap { seq } => self.by_heap.insert(seq, i),
+            Session::AllHeapInFunc { func } => self.by_allheap.insert(func, i),
+        };
+        self.sessions.push(sess);
+    }
+
+    /// Online heap discovery: on the first sighting of allocation
+    /// `seq`, records `stack` (the dynamic call stack at that instant,
+    /// deduplicated) as its context and appends its `OneHeap` session
+    /// plus an `AllHeapInFunc` session for every context function not
+    /// seen before. Later sightings (realloc re-installs) change
+    /// nothing.
+    pub(crate) fn discover_heap(&mut self, seq: u32, stack: &[u16]) {
+        if self.by_heap.contains_key(&seq) {
+            return;
+        }
+        self.push(Session::OneHeap { seq });
+        let mut fids = stack.to_vec();
+        fids.sort_unstable();
+        fids.dedup();
+        for &func in &fids {
+            if !self.by_allheap.contains_key(&func) {
+                self.push(Session::AllHeapInFunc { func });
+            }
+        }
+        self.heap_ctx.insert(seq, fids);
     }
 
     /// The indexed sessions, in index order.

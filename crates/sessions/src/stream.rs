@@ -9,7 +9,8 @@
 //! from the event stream itself: the statically-known sessions (locals,
 //! per-function groups, globals) are indexed at construction from debug
 //! info alone, and heap sessions (`OneHeap`, `AllHeapInFunc`) are
-//! created the moment the first install of the allocation is resolved —
+//! appended to the same [`crate::SessionSet`] index the moment the
+//! first install of the allocation is resolved —
 //! with the dynamic call stack at that instant as the allocation
 //! context, exactly what [`crate::heap_contexts`] would later compute.
 //!
@@ -22,25 +23,19 @@
 
 use crate::enumerate::static_sessions;
 use crate::kinds::Session;
-use databp_sim::StreamMembership;
+use crate::setindex::SessionSet;
+use databp_sim::{Membership, StreamMembership};
 use databp_tinyc::DebugInfo;
 use databp_trace::ObjectDesc;
 use std::collections::HashMap;
 
 /// Session membership that grows as the event stream reveals heap
-/// allocations. Resolution rules are identical to
-/// [`crate::SessionSet::sessions_of`].
+/// allocations. Resolution is [`crate::SessionSet::sessions_of`] over
+/// a [`SessionSet`] indexed in discovery order.
 #[derive(Debug, Clone)]
 pub struct StreamSessionSet {
     /// Discovery order: the static prefix, then heap sessions as seen.
-    sessions: Vec<Session>,
-    by_local: HashMap<(u16, u16), u32>,
-    by_allloc: HashMap<u16, u32>,
-    by_global: HashMap<u32, u32>,
-    static_owner: HashMap<u32, u16>,
-    by_heap: HashMap<u32, u32>,
-    by_allheap: HashMap<u16, u32>,
-    heap_ctx: HashMap<u32, Vec<u16>>,
+    set: SessionSet,
     /// Dynamic call stack, maintained from `Enter`/`Exit` events.
     stack: Vec<u16>,
     n_static: usize,
@@ -50,47 +45,17 @@ impl StreamSessionSet {
     /// Indexes the statically-known sessions of `debug`; heap sessions
     /// are discovered during the stream.
     pub fn new(debug: &DebugInfo) -> Self {
-        let sessions = static_sessions(debug);
-        let mut s = StreamSessionSet {
-            n_static: sessions.len(),
-            sessions,
-            by_local: HashMap::new(),
-            by_allloc: HashMap::new(),
-            by_global: HashMap::new(),
-            static_owner: HashMap::new(),
-            by_heap: HashMap::new(),
-            by_allheap: HashMap::new(),
-            heap_ctx: HashMap::new(),
+        let statics = static_sessions(debug);
+        StreamSessionSet {
+            n_static: statics.len(),
+            set: SessionSet::with_contexts(statics, debug, HashMap::new()),
             stack: Vec::new(),
-        };
-        for g in &debug.globals {
-            if let Some(owner) = g.owner {
-                s.static_owner.insert(g.id, owner);
-            }
         }
-        for (i, sess) in s.sessions.iter().enumerate() {
-            let i = i as u32;
-            match *sess {
-                Session::OneLocalAuto { func, var } => {
-                    s.by_local.insert((func, var), i);
-                }
-                Session::AllLocalInFunc { func } => {
-                    s.by_allloc.insert(func, i);
-                }
-                Session::OneGlobalStatic { global } => {
-                    s.by_global.insert(global, i);
-                }
-                Session::OneHeap { .. } | Session::AllHeapInFunc { .. } => {
-                    unreachable!("static prefix holds no heap sessions")
-                }
-            }
-        }
-        s
     }
 
     /// The discovered sessions so far, in discovery order.
     pub fn sessions(&self) -> &[Session] {
-        &self.sessions
+        self.set.sessions()
     }
 
     /// Finishes discovery: the session list reordered to match
@@ -100,30 +65,23 @@ impl StreamSessionSet {
     /// `canonical[perm[i]] == discovered[i]` — apply it to per-session
     /// results indexed by discovery order.
     pub fn into_canonical(self) -> (Vec<Session>, Vec<u32>) {
-        let mut seqs: Vec<u32> = self.by_heap.keys().copied().collect();
-        seqs.sort_unstable();
-        let mut funcs: Vec<u16> = self.by_allheap.keys().copied().collect();
-        funcs.sort_unstable();
-        let mut canonical = self.sessions[..self.n_static].to_vec();
-        canonical.extend(seqs.iter().map(|&seq| Session::OneHeap { seq }));
-        canonical.extend(funcs.iter().map(|&func| Session::AllHeapInFunc { func }));
-        let mut perm = vec![0u32; self.sessions.len()];
-        for (i, p) in perm.iter_mut().enumerate().take(self.n_static) {
-            *p = i as u32;
+        let sessions = self.set.sessions();
+        let mut order: Vec<u32> = (0..sessions.len() as u32).collect();
+        // The tail holds only heap sessions, and `Session`'s derived
+        // order puts `OneHeap` before `AllHeapInFunc`, each by id.
+        order[self.n_static..].sort_unstable_by_key(|&i| sessions[i as usize]);
+        let mut perm = vec![0u32; order.len()];
+        for (c, &d) in order.iter().enumerate() {
+            perm[d as usize] = c as u32;
         }
-        for (j, seq) in seqs.iter().enumerate() {
-            perm[self.by_heap[seq] as usize] = (self.n_static + j) as u32;
-        }
-        for (j, func) in funcs.iter().enumerate() {
-            perm[self.by_allheap[func] as usize] = (self.n_static + seqs.len() + j) as u32;
-        }
+        let canonical = order.iter().map(|&d| sessions[d as usize]).collect();
         (canonical, perm)
     }
 }
 
 impl StreamMembership for StreamSessionSet {
     fn count(&self) -> usize {
-        self.sessions.len()
+        self.set.count()
     }
 
     fn on_enter(&mut self, func: u16) {
@@ -135,61 +93,10 @@ impl StreamMembership for StreamSessionSet {
     }
 
     fn resolve(&mut self, obj: &ObjectDesc, out: &mut Vec<u32>) {
-        out.clear();
-        match *obj {
-            ObjectDesc::Local { func, var } => {
-                if let Some(&i) = self.by_local.get(&(func, var)) {
-                    out.push(i);
-                }
-                if let Some(&i) = self.by_allloc.get(&func) {
-                    out.push(i);
-                }
-            }
-            ObjectDesc::Global { id } => match self.static_owner.get(&id) {
-                Some(owner) => {
-                    if let Some(&i) = self.by_allloc.get(owner) {
-                        out.push(i);
-                    }
-                }
-                None => {
-                    if let Some(&i) = self.by_global.get(&id) {
-                        out.push(i);
-                    }
-                }
-            },
-            ObjectDesc::Heap { seq } => {
-                let heap_idx = match self.by_heap.get(&seq) {
-                    Some(&i) => i,
-                    None => {
-                        // First install of this allocation: the session
-                        // and its context exist from here on (realloc
-                        // re-installs resolve to the same entry).
-                        let i = self.sessions.len() as u32;
-                        self.sessions.push(Session::OneHeap { seq });
-                        self.by_heap.insert(seq, i);
-                        let mut fids = self.stack.clone();
-                        fids.sort_unstable();
-                        fids.dedup();
-                        self.heap_ctx.insert(seq, fids);
-                        i
-                    }
-                };
-                out.push(heap_idx);
-                let fids = self.heap_ctx.get(&seq).expect("context recorded").clone();
-                for func in fids {
-                    let i = match self.by_allheap.get(&func) {
-                        Some(&i) => i,
-                        None => {
-                            let i = self.sessions.len() as u32;
-                            self.sessions.push(Session::AllHeapInFunc { func });
-                            self.by_allheap.insert(func, i);
-                            i
-                        }
-                    };
-                    out.push(i);
-                }
-            }
+        if let ObjectDesc::Heap { seq } = *obj {
+            self.set.discover_heap(seq, &self.stack);
         }
+        self.set.sessions_of(obj, out);
     }
 }
 

@@ -26,7 +26,9 @@
 //! batches as phase 1 produces them, overlapping replay with trace
 //! generation (see `databp-trace`'s `BatchSink`). Online session
 //! membership goes through [`StreamMembership`]; [`FixedMembership`]
-//! adapts a precomputed [`Membership`] table.
+//! adapts a precomputed [`Membership`] table. Either way the engine
+//! sees only an object's member session indices and packs them into
+//! [`SessionLanes`] itself, once per object descriptor.
 
 mod engine;
 mod membership;

@@ -16,14 +16,6 @@ pub trait Membership {
     /// Appends the indices of every session monitoring `obj` to `out`
     /// (which is cleared first). Indices must be `< count()` and unique.
     fn sessions_of(&self, obj: &ObjectDesc, out: &mut Vec<u32>);
-
-    /// The same membership as `u64` bitset lanes — the dense form the
-    /// lane-packed replay engine consumes (one word op touches 64
-    /// sessions). `scratch` is clobbered.
-    fn lanes_of(&self, obj: &ObjectDesc, scratch: &mut Vec<u32>) -> SessionLanes {
-        self.sessions_of(obj, scratch);
-        SessionLanes::from_sessions(scratch)
-    }
 }
 
 /// One object's member sessions as packed `u64` bitset lanes.
@@ -189,13 +181,5 @@ mod tests {
         assert!(lanes.is_empty());
         assert_eq!(lanes.len(), 0);
         assert_eq!(lanes.iter().count(), 0);
-    }
-
-    #[test]
-    fn lanes_of_matches_sessions_of() {
-        let m = TableMembership::new(vec![(ObjectDesc::Global { id: 7 }, vec![2, 65, 9])], 66);
-        let mut scratch = Vec::new();
-        let lanes = m.lanes_of(&ObjectDesc::Global { id: 7 }, &mut scratch);
-        assert_eq!(lanes.iter().collect::<Vec<_>>(), vec![2, 9, 65]);
     }
 }

@@ -1,4 +1,4 @@
-//! Columnar query pushdown: answer trace queries straight from DBPT v2
+//! Columnar query pushdown: answer trace queries straight from DBPT
 //! bytes, skipping blocks their zone maps refute.
 //!
 //! [`scan_query`] is the block-granular counterpart of
@@ -389,7 +389,7 @@ fn run_items(
     Ok(out)
 }
 
-/// Parses, compiles, and runs `query` directly over DBPT v2 `bytes` —
+/// Parses, compiles, and runs `query` directly over DBPT `bytes` —
 /// the pushdown counterpart of [`run_query`](crate::run_query),
 /// returning the identical [`QueryResult`] plus scan accounting.
 ///

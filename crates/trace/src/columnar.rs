@@ -51,7 +51,7 @@
 //! a wrong answer.
 //!
 //! Malformed or truncated input yields a clean
-//! [`TraceCodecError`] — any valid prefix of a trailer-less v2 file
+//! [`TraceCodecError`] — any valid prefix of a trailer-less file
 //! fails with an error, never a panic (for files carrying a trailer,
 //! the one prefix that drops exactly the whole trailer decodes, to the
 //! complete and correct trace), and allocation sizes are bounded by the
@@ -436,7 +436,7 @@ impl Default for WriteOpts {
     }
 }
 
-/// Serializes `trace` in the DBPT v2 columnar format, embedding `meta`
+/// Serializes `trace` in the current DBPT version (4), embedding `meta`
 /// as an opaque application blob (the trace store keeps workload
 /// provenance there; pass `&[]` for a plain trace file). Appends the
 /// zone-map trailer; use [`write_columnar_with`] to opt out.
@@ -1067,7 +1067,7 @@ fn parse_zone_trailer(trailer: &[u8], blocks: &[RawBlock<'_>]) -> Option<Vec<Zon
     Some(zones)
 }
 
-/// A lazily-decoding view over a DBPT v2 file: header, dictionary and
+/// A lazily-decoding view over a DBPT file (version 2 or 4): header, dictionary and
 /// block directory are parsed eagerly (cheap — column contents are only
 /// sliced, not decoded), zone maps are validated if present, and event
 /// decode happens per block, per column, on demand.
@@ -1165,7 +1165,7 @@ impl<'a> ColumnarReader<'a> {
     }
 }
 
-/// Deserializes a DBPT v2 columnar trace from an in-memory arena (load
+/// Deserializes a DBPT trace (version 2 or 4) from an in-memory arena (load
 /// the whole file with one read, then call this), returning the trace
 /// and the embedded meta blob. A zone-map trailer, if present, is
 /// skipped without being read — this full-decode path predates zone
@@ -1174,7 +1174,7 @@ impl<'a> ColumnarReader<'a> {
 /// # Errors
 ///
 /// [`TraceCodecError::Malformed`] on bad magic/version, dictionary or
-/// column inconsistencies, and any truncation — a valid prefix of a v2
+/// column inconsistencies, and any truncation — a valid prefix of a DBPT
 /// file is an error, never a panic.
 pub fn read_columnar(bytes: &[u8]) -> Result<(Trace, Vec<u8>), TraceCodecError> {
     let p = parse_container(bytes)?;

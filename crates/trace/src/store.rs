@@ -1,4 +1,4 @@
-//! The persistent trace store: a directory of DBPT v2 columnar files,
+//! The persistent trace store: a directory of DBPT columnar files,
 //! keyed by 64-bit workload hash.
 //!
 //! The replay service's in-memory `TraceCache` holds traces for the
@@ -19,7 +19,7 @@ use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// A directory of persisted traces, one DBPT v2 file per 64-bit key.
+/// A directory of persisted traces, one DBPT file per 64-bit key.
 #[derive(Debug, Clone)]
 pub struct TraceStore {
     dir: PathBuf,
@@ -56,16 +56,26 @@ impl TraceStore {
     pub fn save(&self, key: u64, trace: &Trace, meta: &[u8]) -> Result<u64, TraceCodecError> {
         let mut buf = Vec::new();
         write_columnar(trace, meta, &mut buf)?;
+        self.save_encoded(key, &buf)
+    }
+
+    /// Persists an already encoded DBPT file under `key`, replacing any
+    /// previous entry atomically. Returns its size in bytes.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors writing or renaming the file.
+    pub fn save_encoded(&self, key: u64, bytes: &[u8]) -> Result<u64, TraceCodecError> {
         let tmp = self.dir.join(format!(".{key:016x}.dbpt.tmp"));
         {
             let mut f = fs::File::create(&tmp)?;
-            f.write_all(&buf)?;
+            f.write_all(bytes)?;
             f.sync_all()?;
         }
         fs::rename(&tmp, self.path_for(key))?;
         databp_telemetry::count!("trace.store.saves");
-        databp_telemetry::count!("trace.store.bytes_written", buf.len() as u64);
-        Ok(buf.len() as u64)
+        databp_telemetry::count!("trace.store.bytes_written", bytes.len() as u64);
+        Ok(bytes.len() as u64)
     }
 
     /// Loads the entry under `key`, or `None` if the store has no such
@@ -77,16 +87,28 @@ impl TraceStore {
     /// exists but does not decode (a truncated or corrupted store entry
     /// is reported, never trusted).
     pub fn load(&self, key: u64) -> Result<Option<(Trace, Vec<u8>)>, TraceCodecError> {
+        match self.load_encoded(key)? {
+            Some(bytes) => Ok(Some(read_columnar(&bytes)?)),
+            None => Ok(None),
+        }
+    }
+
+    /// Reads the raw file under `key` without decoding it, or `None` if
+    /// the store has no such file. The bytes are untrusted: decode them
+    /// with [`read_columnar`] before use.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors reading.
+    pub fn load_encoded(&self, key: u64) -> Result<Option<Vec<u8>>, TraceCodecError> {
         let bytes = match fs::read(self.path_for(key)) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e.into()),
         };
-        let n = bytes.len() as u64;
-        let out = read_columnar(&bytes)?;
         databp_telemetry::count!("trace.store.loads");
-        databp_telemetry::count!("trace.store.bytes_read", n);
-        Ok(Some(out))
+        databp_telemetry::count!("trace.store.bytes_read", bytes.len() as u64);
+        Ok(Some(bytes))
     }
 
     /// Keys of every entry currently on disk (unordered).

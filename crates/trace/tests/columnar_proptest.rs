@@ -1,4 +1,4 @@
-//! Property tests for the DBPT v2 columnar codec: arbitrary traces
+//! Property tests for the DBPT columnar codec: arbitrary traces
 //! round-trip exactly, and no truncation or byte corruption of a valid
 //! file can panic the decoder — a damaged input is a clean
 //! `TraceCodecError` (or, for bit flips that happen to stay

@@ -17,14 +17,10 @@
 //! Every workload is deterministic (embedded LCG seeds) and parameterized
 //! by machine arguments so tests can run scaled-down instances.
 
-use databp_machine::{Machine, MachineError, StopReason, StoreBatcher};
+use databp_machine::{Machine, MachineError, StopReason};
 use databp_tinyc::{compile, Compiled, Options};
 use databp_trace::{write_columnar, EventSink, Trace, Tracer};
 use std::sync::{Arc, OnceLock};
-
-/// Store events are coalesced through a [`StoreBatcher`] before they
-/// reach the tracer, amortizing the per-event hook dispatch.
-const STORE_BATCH: usize = 256;
 
 /// One benchmark workload: a source program plus run parameters.
 #[derive(Debug, Clone)]
@@ -217,8 +213,9 @@ pub struct Prepared {
     /// Nop-padded build for the Section 3.3 dynamic-patching hybrid
     /// (lazy).
     nop_padded: OnceLock<Compiled>,
-    /// DBPT v2 encoding of `trace`, zone maps included (lazy) — what
-    /// the query pushdown scans instead of the decoded events.
+    /// DBPT encoding of `trace`, zone maps included (lazy, or adopted
+    /// from a caller that already holds one) — what the query pushdown
+    /// scans instead of the decoded events.
     columnar: OnceLock<Arc<Vec<u8>>>,
     /// The phase-1 program event trace.
     pub trace: Trace,
@@ -295,7 +292,7 @@ impl Prepared {
         self.build(&self.nop_padded, Options::nop_padding(), "nop")
     }
 
-    /// The trace's DBPT v2 encoding (zone maps included), built on
+    /// The trace's DBPT encoding (zone maps included), built on
     /// first use and shared thereafter — query pushdown scans these
     /// bytes directly instead of re-walking `trace.events()`.
     ///
@@ -309,6 +306,15 @@ impl Prepared {
             write_columnar(&self.trace, &[], &mut buf).expect("in-memory encode");
             Arc::new(buf)
         })
+    }
+
+    /// Adopts `bytes` as the trace's DBPT encoding, for a caller that
+    /// already holds one (read from a trace store, or encoded once to
+    /// be saved there), so [`Prepared::columnar_bytes`] never encodes
+    /// the trace again. `bytes` must decode to `trace`. No-op when an
+    /// encoding is already held.
+    pub fn adopt_columnar(&self, bytes: Arc<Vec<u8>>) {
+        let _ = self.columnar.set(bytes);
     }
 }
 
@@ -367,12 +373,7 @@ pub fn run_traced<S: EventSink>(
     let mut tracer = Tracer::with_sink(plain.debug.frame_map(), plain.debug.global_specs(), sink)
         .with_untraced(plain.debug.untraced_store_pcs.clone());
     tracer.begin();
-    let stop = {
-        let mut batcher = StoreBatcher::new(&mut tracer, STORE_BATCH);
-        let stop = m.run(&mut batcher, workload.max_steps)?;
-        batcher.flush();
-        stop
-    };
+    let stop = m.run(&mut tracer, workload.max_steps)?;
     assert_eq!(
         stop,
         StopReason::Halted,
@@ -380,22 +381,15 @@ pub fn run_traced<S: EventSink>(
         workload.name
     );
     let sink = tracer.finish();
-    Ok((
-        Prepared {
-            workload: workload.clone(),
-            base_us: m.cost().total_us(m.cost_model()),
-            instructions: m.cost().instructions,
-            output: m.take_output(),
-            plain,
-            codepatch: OnceLock::new(),
-            codepatch_loopopt: OnceLock::new(),
-            codepatch_ssa: OnceLock::new(),
-            nop_padded: OnceLock::new(),
-            columnar: OnceLock::new(),
-            trace: Trace::new(),
-        },
-        sink,
-    ))
+    let prepared = Prepared::from_parts(
+        workload.clone(),
+        plain,
+        Trace::new(),
+        m.cost().total_us(m.cost_model()),
+        m.cost().instructions,
+        m.take_output(),
+    );
+    Ok((prepared, sink))
 }
 
 #[cfg(test)]
