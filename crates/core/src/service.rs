@@ -3,7 +3,6 @@
 
 use crate::monitor::{Monitor, MonitorId, Notification, WmsError};
 use crate::pagemap::PageMap;
-use databp_telemetry::Counter;
 use std::collections::HashMap;
 
 /// Maximum notifications retained in the buffer; the count keeps
@@ -11,7 +10,9 @@ use std::collections::HashMap;
 /// hits, statistics about the count).
 const NOTIFICATION_CAP: usize = 10_000;
 
-/// Operation counters, exposed for tests and the harness.
+/// Operation counters, exposed for tests and the harness. Per-instance
+/// and always counting, with telemetry on or off; the `wms.*` registry
+/// counters mirror them through the gated macros.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WmsCounters {
     /// `InstallMonitor` calls.
@@ -22,43 +23,6 @@ pub struct WmsCounters {
     pub lookups: u64,
     /// Checks that hit at least one monitor.
     pub hits: u64,
-}
-
-/// Telemetry-counter storage backing [`WmsCounters`]. Per-instance and
-/// always counting (the legacy `counters()` API works with telemetry
-/// disabled); the `wms.*` global registry mirrors are updated alongside
-/// via the gated macros.
-#[derive(Debug, Default)]
-struct WmsTelemetry {
-    installs: Counter,
-    removes: Counter,
-    lookups: Counter,
-    hits: Counter,
-}
-
-impl Clone for WmsTelemetry {
-    fn clone(&self) -> Self {
-        // Deep copy: a cloned Wms must not share counter state with its
-        // source (the handles are Arc-backed; the pre-telemetry struct
-        // was a plain Copy).
-        WmsTelemetry {
-            installs: Counter::detached_with(self.installs.get()),
-            removes: Counter::detached_with(self.removes.get()),
-            lookups: Counter::detached_with(self.lookups.get()),
-            hits: Counter::detached_with(self.hits.get()),
-        }
-    }
-}
-
-impl WmsTelemetry {
-    fn as_counters(&self) -> WmsCounters {
-        WmsCounters {
-            installs: self.installs.get(),
-            removes: self.removes.get(),
-            lookups: self.lookups.get(),
-            hits: self.hits.get(),
-        }
-    }
 }
 
 /// The write monitor service: install/remove monitors, check writes,
@@ -73,7 +37,7 @@ pub struct Wms {
     live: HashMap<MonitorId, Monitor>,
     by_range: HashMap<(u32, u32), Vec<MonitorId>>,
     next: u64,
-    counters: WmsTelemetry,
+    counters: WmsCounters,
     notifications: Vec<Notification>,
     notification_count: u64,
 }
@@ -97,7 +61,7 @@ impl Wms {
         self.map.install(id, m);
         self.live.insert(id, m);
         self.by_range.entry((ba, ea)).or_default().push(id);
-        self.counters.installs.inc_always();
+        self.counters.installs += 1;
         databp_telemetry::count!("wms.installs");
         databp_telemetry::gauge_add!("wms.monitors.active", 1);
         Ok(id)
@@ -117,7 +81,7 @@ impl Wms {
                 self.by_range.remove(&(m.ba, m.ea));
             }
         }
-        self.counters.removes.inc_always();
+        self.counters.removes += 1;
         databp_telemetry::count!("wms.removes");
         databp_telemetry::gauge_add!("wms.monitors.active", -1);
         Ok(())
@@ -142,12 +106,12 @@ impl Wms {
     /// Checks a write against the active monitors; on a (byte-exact) hit,
     /// records a [`Notification`] and returns true.
     pub fn check_write(&mut self, ba: u32, ea: u32, pc: u32) -> bool {
-        self.counters.lookups.inc_always();
+        self.counters.lookups += 1;
         databp_telemetry::count!("wms.lookups");
         // Fast word-granular bitmap test first (the timed operation),
         // byte-exact confirmation second.
         if self.map.lookup(ba, ea) && self.map.hit_exact(ba, ea) {
-            self.counters.hits.inc_always();
+            self.counters.hits += 1;
             databp_telemetry::count!("wms.hits");
             self.notification_count += 1;
             if self.notifications.len() < NOTIFICATION_CAP {
@@ -182,7 +146,7 @@ impl Wms {
 
     /// Operation counters.
     pub fn counters(&self) -> WmsCounters {
-        self.counters.as_counters()
+        self.counters
     }
 
     /// Drains the notification buffer.

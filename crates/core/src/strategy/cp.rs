@@ -24,7 +24,7 @@ use std::sync::Arc;
 /// happens, which is the entire performance argument.
 ///
 /// Programs compiled with [`databp_tinyc::Options::codepatch_loopopt`]
-/// carry the Section 9 groups ([`DebugInfo::loopopts`]): a loop's
+/// carry the Section 9 groups ([`DebugInfo::hoists`]): a loop's
 /// *preliminary check* runs once in the preheader; while it misses, body
 /// checks on the same loop-invariant target skip their lookups
 /// ([`StrategyReport::skipped_lookups`]). The build decides: the groups
@@ -39,12 +39,13 @@ use std::sync::Arc;
 /// `databp-sim`.
 ///
 /// Programs compiled with [`databp_tinyc::Options::codepatch_ssa`]
-/// additionally carry SSA-planned hoist groups ([`DebugInfo::hoists`]):
-/// one preheader guard dominating a loop's invariant store targets —
-/// including stores through never-reassigned pointers, which Section 9
-/// leaves out. These too are honored whenever present
+/// carry SSA-planned groups instead, each marked
+/// [`databp_tinyc::LoopOptInfo::rearm`]: one preheader guard dominating
+/// a loop's invariant store targets — including stores through
+/// never-reassigned pointers, which Section 9 leaves out. These too are
+/// honored whenever present
 /// ([`StrategyReport::hoisted_lookups`]); monitor installs re-arm every
-/// SSA group so a mid-loop install is never missed.
+/// such group so a mid-loop install is never missed.
 #[derive(Debug, Clone, Default)]
 pub struct CodePatch {
     /// Static write-safety elision: checks classified provably safe for
@@ -134,7 +135,7 @@ impl CodePatch {
             preheader: HashMap::new(),
             body: HashMap::new(),
             armed: Vec::new(),
-            hoist_base: 0,
+            rearm: Vec::new(),
             elided,
             pred_dead,
             pred: self.predicate.clone().map(PredEval::new),
@@ -160,13 +161,13 @@ struct CpMech {
     preheader: HashMap<u32, usize>,
     /// Body check pc -> loop-group index.
     body: HashMap<u32, usize>,
-    /// Whether each loop group's preliminary check hit. Section 9
-    /// ([`DebugInfo::loopopts`]) groups first, then SSA hoist groups.
+    /// Whether each loop group's preliminary check hit.
     armed: Vec<bool>,
-    /// First SSA hoist group in `armed` (groups at or past this index
-    /// count as [`StrategyReport::hoisted_lookups`] and re-arm on
-    /// monitor installs).
-    hoist_base: usize,
+    /// Each group's [`databp_tinyc::LoopOptInfo::rearm`]: such groups
+    /// re-arm on monitor installs and count as
+    /// [`StrategyReport::hoisted_lookups`], the others as
+    /// [`StrategyReport::skipped_lookups`].
+    rearm: Vec<bool>,
     /// `chk` pcs whose lookup the static write-safety pass elides for
     /// this run's plan class.
     elided: HashSet<u32>,
@@ -198,14 +199,14 @@ impl Mechanism for CpMech {
         // Hoist groups are honored whenever the build carries them: the
         // preheader guards are already in the code, so skipping the
         // dominated body checks is always licensed.
-        self.hoist_base = debug.loopopts.len();
-        for (idx, l) in debug.loopopts.iter().chain(&debug.hoists).enumerate() {
+        for (idx, l) in debug.hoists.iter().enumerate() {
             self.preheader.insert(l.preheader_pc, idx);
             for &pc in &l.body_pcs {
                 self.body.insert(pc, idx);
             }
         }
-        self.armed = vec![false; debug.loopopts.len() + debug.hoists.len()];
+        self.armed = vec![false; debug.hoists.len()];
+        self.rearm = debug.hoists.iter().map(|l| l.rearm).collect();
         Ok(())
     }
 
@@ -215,10 +216,10 @@ impl Mechanism for CpMech {
             .expect("tracker ranges are non-empty");
         // A monitor installed after a preheader guard already missed
         // could be hit by the body stores that guard disarmed:
-        // conservatively re-arm every SSA hoist group, so its body
-        // checks pay the full lookup until the preheader next runs.
-        for a in &mut self.armed[self.hoist_base..] {
-            *a = true;
+        // conservatively re-arm every such group, so its body checks
+        // pay the full lookup until the preheader next runs.
+        for (a, &rearm) in self.armed.iter_mut().zip(&self.rearm) {
+            *a |= rearm;
         }
         rep.overhead.add(
             TimingVar::SoftwareUpdate,
@@ -301,7 +302,7 @@ impl Mechanism for CpMech {
                     "disarmed loop check would have hit: unsound arming"
                 );
                 rep.counts.miss += 1;
-                if idx >= self.hoist_base {
+                if self.rearm[idx] {
                     rep.hoisted_lookups += 1;
                 } else {
                     rep.skipped_lookups += 1;

@@ -5,15 +5,15 @@
 //! event-at-a-time engine ([`databp_sim::run_query`]) is the oracle and
 //! the zone-mapped pushdown scan ([`databp_sim::scan_query`]) must
 //! reproduce its `QueryResult` exactly — sequentially (`jobs = 1`) and
-//! with a parallel block fan-out (`jobs = 4`), over trailered files,
-//! trailer-less files, and files whose zone-map trailer has been
-//! corrupted (which must degrade to a full scan, never a wrong
-//! answer). Accounting invariants ride along: every block is either
-//! scanned or skipped, and the write total matches the trace.
+//! with a parallel block fan-out (`jobs = 4`). A file whose zone-map
+//! trailer is corrupted, cut short or missing is refused with
+//! `ScanError::Codec`, never answered wrongly. Accounting invariants
+//! ride along: every block is either scanned or skipped, and the write
+//! total matches the trace.
 
 use databp_core::WriterMap;
-use databp_sim::{run_query, scan_query};
-use databp_trace::{write_columnar_with, Event, ObjectDesc, Trace, WriteOpts};
+use databp_sim::{run_query, scan_query, ScanError};
+use databp_trace::{write_columnar_with, Event, ObjectDesc, Trace};
 use proptest::prelude::*;
 
 fn arb_event() -> impl Strategy<Value = Event> {
@@ -103,19 +103,26 @@ fn resolve(name: &str) -> Option<u16> {
     name.strip_prefix('f').and_then(|s| s.parse().ok())
 }
 
-fn encoded(trace: &Trace, block_events: usize, zone_maps: bool) -> Vec<u8> {
+fn encoded(trace: &Trace, block_events: usize) -> Vec<u8> {
     let mut buf = Vec::new();
-    write_columnar_with(
-        trace,
-        b"pushdown-suite",
-        &mut buf,
-        WriteOpts {
-            block_events,
-            zone_maps,
-        },
-    )
-    .expect("in-memory encode");
+    write_columnar_with(trace, b"pushdown-suite", &mut buf, block_events)
+        .expect("in-memory encode");
     buf
+}
+
+/// Bytes of the zone-map trailer: 24 bytes of framing, 64 per block.
+fn trailer_len(trace: &Trace, block_events: usize) -> usize {
+    24 + 64 * trace.len().div_ceil(block_events)
+}
+
+fn assert_codec_error(bytes: &[u8], query: &str, ctx: &str) {
+    for jobs in [1usize, 4] {
+        let res = scan_query(bytes, query, resolve, &writer_map(), jobs);
+        assert!(
+            matches!(res, Err(ScanError::Codec(_))),
+            "{ctx}: `{query}` with jobs={jobs} answered {res:?}"
+        );
+    }
 }
 
 fn check_all_paths(trace: &Trace, bytes: &[u8], query: &str, ctx: &str) {
@@ -149,34 +156,12 @@ proptest! {
         query in arb_query(),
         block_events in 1usize..96,
     ) {
-        let bytes = encoded(&trace, block_events, true);
+        let bytes = encoded(&trace, block_events);
         check_all_paths(&trace, &bytes, &query, "trailered");
     }
 
-    /// Files written without zone maps answer identically (every block
-    /// scanned — old-writer/new-reader compatibility).
-    #[test]
-    fn trailerless_file_matches_full_scan(
-        trace in arb_trace(),
-        query in arb_query(),
-        block_events in 1usize..96,
-    ) {
-        let bytes = encoded(&trace, block_events, false);
-        check_all_paths(&trace, &bytes, &query, "trailer-less");
-        let (_, stats) =
-            scan_query(&bytes, &query, resolve, &writer_map(), 1).unwrap();
-        let n_blocks = (trace.len() as u64).div_ceil(block_events as u64);
-        prop_assert_eq!(stats.blocks_scanned + stats.blocks_skipped, n_blocks);
-        // Without zone maps nothing can be *refuted*; only the
-        // `first`/`last` short-circuit may leave blocks undecoded.
-        if !query.starts_with("first") && !query.starts_with("last") {
-            prop_assert_eq!(stats.blocks_skipped, 0, "no zones, nothing may be skipped");
-        }
-    }
-
     /// Corrupting any single byte of the zone-map trailer never changes
-    /// an answer: the reader either keeps a checksum-valid trailer or
-    /// falls back to scanning every block.
+    /// an answer: the file is refused with a codec error.
     #[test]
     fn trailer_corruption_never_changes_an_answer(
         trace in arb_trace(),
@@ -185,18 +170,27 @@ proptest! {
         flip in any::<u8>(),
         at in any::<u16>(),
     ) {
-        let plain = encoded(&trace, block_events, false);
-        let mut bytes = encoded(&trace, block_events, true);
-        // The trailer is always emitted (even for an empty trace).
-        let trailer_len = bytes.len() - plain.len();
-        prop_assert!(trailer_len > 0);
-        let at = bytes.len() - 1 - (usize::from(at) % trailer_len);
+        let mut bytes = encoded(&trace, block_events);
+        let at = bytes.len() - 1 - (usize::from(at) % trailer_len(&trace, block_events));
         bytes[at] ^= flip | 1; // always a real flip
-        check_all_paths(&trace, &bytes, &query, "corrupted trailer");
+        assert_codec_error(&bytes, &query, "corrupted trailer");
     }
 
-    /// Truncating the trailer (still a decodable event section) also
-    /// degrades to a correct full scan.
+    /// A file whose blocks are intact but whose trailer is missing
+    /// altogether (what a trailer-less writer would emit) is an error.
+    #[test]
+    fn trailerless_file_is_a_codec_error(
+        trace in arb_trace(),
+        query in arb_query(),
+        block_events in 1usize..96,
+    ) {
+        let full = encoded(&trace, block_events);
+        let bytes = &full[..full.len() - trailer_len(&trace, block_events)];
+        assert_codec_error(bytes, &query, "trailer-less");
+    }
+
+    /// Truncating the trailer, down to dropping it whole (a
+    /// trailer-less file), never changes an answer either.
     #[test]
     fn trailer_truncation_never_changes_an_answer(
         trace in arb_trace(),
@@ -204,14 +198,11 @@ proptest! {
         block_events in 1usize..96,
         keep in any::<u16>(),
     ) {
-        let plain = encoded(&trace, block_events, true);
-        let trailer_start = encoded(&trace, block_events, false).len();
-        let trailer_len = plain.len() - trailer_start;
-        prop_assert!(trailer_len > 1);
-        // Keep a strict, nonzero prefix of the trailer.
-        let keep = 1 + usize::from(keep) % (trailer_len - 1);
-        let bytes = &plain[..trailer_start + keep];
-        check_all_paths(&trace, bytes, &query, "truncated trailer");
+        let full = encoded(&trace, block_events);
+        let trailer_len = trailer_len(&trace, block_events);
+        let keep = usize::from(keep) % trailer_len;
+        let bytes = &full[..full.len() - trailer_len + keep];
+        assert_codec_error(bytes, &query, "truncated trailer");
     }
 }
 
@@ -231,7 +222,7 @@ fn selective_query_skips_blocks() {
         });
     }
     let trace = Trace::from_events(evs);
-    let bytes = encoded(&trace, 64, true);
+    let bytes = encoded(&trace, 64);
     let writers = writer_map();
     let (result, stats) = scan_query(&bytes, "count if value > 950", resolve, &writers, 4).unwrap();
     let want = run_query("count if value > 950", trace.events(), resolve, writers).unwrap();

@@ -632,22 +632,16 @@ fn trace_dump_meta(path: &str) -> ExitCode {
         }
     };
     println!(
-        "{path}: DBPT v{}, {} events, {} blocks, {} dict entries, {} meta bytes, zone maps: {}",
-        reader.version(),
+        "{path}: DBPT, {} events, {} blocks, {} dict entries, {} meta bytes",
         reader.n_events(),
         reader.blocks().len(),
         reader.dict().len(),
         reader.meta().len(),
-        if reader.zones().is_some() {
-            "yes"
-        } else {
-            "no"
-        }
     );
     if !reader.meta().is_empty() {
         println!("meta: {}", String::from_utf8_lossy(reader.meta()));
     }
-    for (i, block) in reader.blocks().iter().enumerate() {
+    for (i, (block, z)) in reader.blocks().iter().zip(reader.zones()).enumerate() {
         let cols = block
             .column_sizes()
             .iter()
@@ -655,19 +649,20 @@ fn trace_dump_meta(path: &str) -> ExitCode {
             .map(|&(name, n)| format!("{name}={n}B"))
             .collect::<Vec<_>>()
             .join(" ");
-        print!("block[{i}] events={} {cols}", block.events());
-        if let Some(zones) = reader.zones() {
-            let z = &zones[i];
-            print!(
-                " | writes={} installs={} removes={} enters={} exits={}",
-                z.writes, z.installs, z.removes, z.enters, z.exits
-            );
-            if let Some((lo, hi)) = z.write_pc_range() {
-                print!(" pc=[{lo:#x},{hi:#x}]");
-            }
-            if let Some((lo, hi)) = z.write_value_range() {
-                print!(" value=[{lo},{hi}]");
-            }
+        print!(
+            "block[{i}] events={} {cols} | writes={} installs={} removes={} enters={} exits={}",
+            block.events(),
+            z.writes,
+            z.installs,
+            z.removes,
+            z.enters,
+            z.exits
+        );
+        if let Some((lo, hi)) = z.write_pc_range() {
+            print!(" pc=[{lo:#x},{hi:#x}]");
+        }
+        if let Some((lo, hi)) = z.write_value_range() {
+            print!(" value=[{lo},{hi}]");
         }
         println!();
     }

@@ -636,6 +636,35 @@ mod tests {
     }
 
     #[test]
+    fn a_miss_and_a_warm_start_charge_the_same_bytes() {
+        let dir = std::env::temp_dir().join(format!("databp-charge-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let start = || {
+            Server::start(ServerConfig {
+                workers: 1,
+                queue_depth: 16,
+                store: Some(dir.clone()),
+                ..ServerConfig::default()
+            })
+        };
+        let cold = start();
+        let resp = cold
+            .submit(Request::simple("a", "cc", Scale::Small))
+            .unwrap()
+            .wait();
+        assert_eq!(resp.cache, Some(CacheStatus::Miss));
+        let after_miss = cold.stats().cache_bytes;
+        cold.shutdown();
+        // The warm start decodes the file that miss saved: the same
+        // trace, so the same charge, with no growth slack on either side.
+        let warm = start();
+        assert_eq!(warm.stats().cache_entries, 1);
+        assert_eq!(warm.stats().cache_bytes, after_miss);
+        warm.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn duplicate_requests_hit_the_cache_with_identical_bytes() {
         let server = tiny_server(2);
         let req = Request::simple("a", "cc", Scale::Small);

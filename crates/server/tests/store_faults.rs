@@ -106,6 +106,22 @@ fn truncated_entry_is_skipped() {
 }
 
 #[test]
+fn damaged_trailer_entry_is_skipped() {
+    let dir = survives("bad-trailer", |dir, key| {
+        // The last byte lies in the zone-map trailer's checksummed
+        // payload; every block before it is intact.
+        let mut file = reference().file.clone();
+        *file.last_mut().unwrap() ^= 0xff;
+        fs::write(entry(dir, key), file).unwrap();
+    });
+    assert_eq!(
+        fs::read(entry(&dir, key_of("fib"))).unwrap(),
+        reference().file
+    );
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn empty_trace_entry_is_skipped() {
     let dir = survives("empty-trace", |dir, key| {
         // A well-formed DBPT file with zero events, under fib's own

@@ -27,7 +27,7 @@
 //!
 //! Soundness: every skip decision is conservative. Zone maps are
 //! checksummed and cross-checked against block headers on open (a
-//! damaged trailer degrades to a full scan), `decide_over` only returns
+//! damaged trailer is a [`ScanError::Codec`]), `decide_over` only returns
 //! a definite answer when *no* write consistent with the zone bounds
 //! could disagree, and scanned blocks verify their decoded write count
 //! against the zone that predicted it. The differential property suite
@@ -38,9 +38,7 @@
 use crate::query::{Aggregation, CompiledQuery, Query, QueryError, QueryResult, WriteHit};
 use crate::MAX_WATCH_SAMPLES;
 use databp_core::{CompiledPredicate, WriteSpan, WriterMap, NO_WRITER};
-use databp_trace::{
-    read_columnar, BlockWrites, ColumnarReader, RawBlock, TraceCodecError, WriteCols, ZoneMap,
-};
+use databp_trace::{BlockWrites, ColumnarReader, RawBlock, TraceCodecError, WriteCols, ZoneMap};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -53,8 +51,7 @@ pub struct ScanStats {
     /// Blocks never decoded: zone-refuted, empty of writes, answered
     /// from counts alone, or cut by a `first`/`last` short-circuit.
     pub blocks_skipped: u64,
-    /// Total writes in the trace per the zone maps (or the decode, when
-    /// the file carries no usable zone maps and every block is scanned).
+    /// Total writes in the trace per the zone maps.
     pub writes: u64,
 }
 
@@ -208,23 +205,21 @@ fn needed_columns(agg: Aggregation, pred: Option<&CompiledPredicate>) -> WriteCo
 
 /// Scans one block: decodes the needed columns and folds its writes
 /// into a [`BlockPartial`]. `expect_writes` (from the zone map) is
-/// cross-checked against the decode when known.
+/// cross-checked against the decode.
 fn scan_block(
     block: &RawBlock<'_>,
     base: u64,
     q: &CompiledQuery,
     writers: &WriterMap,
     want: WriteCols,
-    expect_writes: Option<u64>,
+    expect_writes: u64,
     bw: &mut BlockWrites,
 ) -> Result<BlockPartial, TraceCodecError> {
     let n = u64::from(block.decode_writes(want, bw)?);
-    if let Some(expect) = expect_writes {
-        if expect != n {
-            return Err(TraceCodecError::Malformed(format!(
-                "zone map promises {expect} writes, block decodes {n}"
-            )));
-        }
+    if expect_writes != n {
+        return Err(TraceCodecError::Malformed(format!(
+            "zone map promises {expect_writes} writes, block decodes {n}"
+        )));
     }
     let mut out = BlockPartial::default();
     let uses_writer = q.pred.as_ref().is_some_and(CompiledPredicate::uses_writer);
@@ -348,14 +343,13 @@ fn run_items(
                 continue;
             }
             let (bidx, base) = items[i];
-            let expect = zones.map(|z| u64::from(z[bidx].writes));
             let res = scan_block(
                 &reader.blocks()[bidx],
                 base,
                 q,
                 writers,
                 want,
-                expect,
+                u64::from(zones[bidx].writes),
                 &mut bw,
             );
             if short_circuit {
@@ -394,15 +388,14 @@ fn run_items(
 /// returning the identical [`QueryResult`] plus scan accounting.
 ///
 /// `jobs` bounds the worker threads for the block scan (`1` = fully
-/// sequential; the result does not depend on it). Files without usable
-/// zone maps (legacy, trailer-less, or with a corrupted trailer) fall
-/// back to scanning every block; legacy six-column files fall back to a
-/// full decode.
+/// sequential; the result does not depend on it).
 ///
 /// # Errors
 ///
 /// [`ScanError::Query`] when the query is malformed or a `writer in f`
-/// name does not resolve; [`ScanError::Codec`] when the bytes are.
+/// name does not resolve; [`ScanError::Codec`] when the bytes are —
+/// including a missing or damaged zone-map trailer, which
+/// [`ColumnarReader::open`] rejects before any block is decided.
 pub fn scan_query(
     bytes: &[u8],
     query: &str,
@@ -412,57 +405,22 @@ pub fn scan_query(
 ) -> Result<(QueryResult, ScanStats), ScanError> {
     let q = Query::parse(query)?.compile(resolve)?;
     let reader = ColumnarReader::open(bytes)?;
-    if !reader.has_write_values() {
-        // Legacy six-column layout: write values live nowhere but the
-        // full decode. Rare enough that pushdown doesn't special-case
-        // it beyond this fallback.
-        let (trace, _) = read_columnar(bytes)?;
-        let mut eng = crate::QueryEngine::new(q, writers.clone());
-        eng.feed(trace.events());
-        let stats = ScanStats {
-            blocks_scanned: reader.blocks().len() as u64,
-            blocks_skipped: 0,
-            writes: eng.writes_seen(),
-        };
-        record(&stats);
-        return Ok((eng.result(), stats));
-    }
     let pred = q.pred.as_ref();
     let want = needed_columns(q.agg, pred);
     let n_blocks = reader.blocks().len();
 
-    // Decide every block up front (zones present), or scan everything.
+    // Decide every block up front from its zone map.
     let mut items: Vec<(usize, u64)> = Vec::new();
     let mut count_only = 0u64;
-    let total_writes = match reader.zones() {
-        Some(zones) => {
-            let mut base = 0u64;
-            for (idx, zone) in zones.iter().enumerate() {
-                match decide_block(zone, base, pred, q.agg, writers) {
-                    Action::Skip => {}
-                    Action::CountOnly => count_only += u64::from(zone.writes),
-                    Action::Scan => items.push((idx, base)),
-                }
-                base += u64::from(zone.writes);
-            }
-            base
+    let mut total_writes = 0u64;
+    for (idx, zone) in reader.zones().iter().enumerate() {
+        match decide_block(zone, total_writes, pred, q.agg, writers) {
+            Action::Skip => {}
+            Action::CountOnly => count_only += u64::from(zone.writes),
+            Action::Scan => items.push((idx, total_writes)),
         }
-        None => {
-            // No usable zone maps: every block is a scan item, with
-            // hits bases discovered by a cheap tag-only counting pass
-            // (no value columns decoded).
-            let mut base = 0u64;
-            let mut bw = BlockWrites::default();
-            for (idx, block) in reader.blocks().iter().enumerate() {
-                let n = block
-                    .decode_writes(WriteCols::default(), &mut bw)
-                    .map_err(ScanError::Codec)?;
-                items.push((idx, base));
-                base += u64::from(n);
-            }
-            base
-        }
-    };
+        total_writes += u64::from(zone.writes);
+    }
 
     // `last` short-circuits back-to-front; everything else runs
     // front-to-back.
@@ -568,7 +526,7 @@ fn record(stats: &ScanStats) {
 mod tests {
     use super::*;
     use crate::run_query;
-    use databp_trace::{write_columnar_with, Event, Trace, WriteOpts};
+    use databp_trace::{write_columnar_with, Event, Trace};
 
     fn w(pc: u32, ba: u32, value: u32, old: u32) -> Event {
         Event::Write {
@@ -592,25 +550,16 @@ mod tests {
         Trace::from_events(evs)
     }
 
-    fn encoded(trace: &Trace, block_events: usize, zone_maps: bool) -> Vec<u8> {
+    fn encoded(trace: &Trace, block_events: usize) -> Vec<u8> {
         let mut buf = Vec::new();
-        write_columnar_with(
-            trace,
-            &[],
-            &mut buf,
-            WriteOpts {
-                block_events,
-                zone_maps,
-            },
-        )
-        .unwrap();
+        write_columnar_with(trace, &[], &mut buf, block_events).unwrap();
         buf
     }
 
     #[test]
     fn pushdown_matches_full_scan_and_skips_blocks() {
         let t = blocky_trace();
-        let bytes = encoded(&t, 8, true);
+        let bytes = encoded(&t, 8);
         for q in [
             "count",
             "count if value > 450",
@@ -677,7 +626,7 @@ mod tests {
     #[test]
     fn first_short_circuits_and_last_scans_backwards() {
         let t = blocky_trace();
-        let bytes = encoded(&t, 8, true);
+        let bytes = encoded(&t, 8);
         // Everything matches: `first` needs exactly one block.
         let (r, stats) = scan_query(&bytes, "first", |_| None, &WriterMap::default(), 4).unwrap();
         let want = run_query("first", t.events(), |_| None, WriterMap::default()).unwrap();
@@ -691,34 +640,47 @@ mod tests {
     }
 
     #[test]
-    fn no_zone_file_full_scans_to_the_same_answer() {
+    fn corrupted_trailer_is_a_codec_error() {
         let t = blocky_trace();
-        let bytes = encoded(&t, 8, false);
-        let q = "count if value > 450";
-        let want = run_query(q, t.events(), |_| None, WriterMap::default()).unwrap();
-        let (got, stats) = scan_query(&bytes, q, |_| None, &WriterMap::default(), 2).unwrap();
-        assert_eq!(got, want);
-        assert_eq!(stats.blocks_skipped, 0);
-        assert_eq!(stats.blocks_scanned, 6);
+        let mut bytes = encoded(&t, 8);
+        // Flip a checksum-covered byte.
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x5a;
+        assert!(matches!(
+            scan_query(
+                &bytes,
+                "count if value > 450",
+                |_| None,
+                &WriterMap::default(),
+                2
+            ),
+            Err(ScanError::Codec(_))
+        ));
     }
 
     #[test]
-    fn corrupted_trailer_degrades_to_full_scan_not_wrong_answer() {
+    fn trailerless_file_is_a_codec_error() {
         let t = blocky_trace();
-        let mut bytes = encoded(&t, 8, true);
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x5a;
-        let q = "count if value > 450";
-        let want = run_query(q, t.events(), |_| None, WriterMap::default()).unwrap();
-        let (got, stats) = scan_query(&bytes, q, |_| None, &WriterMap::default(), 2).unwrap();
-        assert_eq!(got, want);
-        assert_eq!(stats.blocks_skipped, 0, "no zones, no skipping");
+        let good = encoded(&t, 8);
+        // Cut where the trailer begins (6 zones of 64 bytes + 24 bytes
+        // of framing): every block is intact, but no zones follow.
+        let cut = &good[..good.len() - (24 + 6 * 64)];
+        assert!(matches!(
+            scan_query(
+                cut,
+                "count if value > 450",
+                |_| None,
+                &WriterMap::default(),
+                2
+            ),
+            Err(ScanError::Codec(_))
+        ));
     }
 
     #[test]
     fn writer_filter_refutes_by_pc_range() {
         let t = blocky_trace();
-        let bytes = encoded(&t, 8, true);
+        let bytes = encoded(&t, 8);
         // Blocks 0..6 use pcs 0x100+b*0x40: function `f5` owns
         // [0x240, ...), i.e. exactly block 5's pcs.
         let writers = WriterMap::new((0u16..6).map(|b| (0x100 + u32::from(b) * 0x40, b)));
@@ -736,7 +698,7 @@ mod tests {
     #[test]
     fn empty_trace_scans_cleanly() {
         let t = Trace::new();
-        let bytes = encoded(&t, 8, true);
+        let bytes = encoded(&t, 8);
         let (r, stats) = scan_query(&bytes, "count", |_| None, &WriterMap::default(), 1).unwrap();
         assert_eq!(
             r,
@@ -753,7 +715,7 @@ mod tests {
     #[test]
     fn malformed_query_and_bytes_error_cleanly() {
         let t = blocky_trace();
-        let bytes = encoded(&t, 8, true);
+        let bytes = encoded(&t, 8);
         assert!(matches!(
             scan_query(&bytes, "bogus", |_| None, &WriterMap::default(), 1),
             Err(ScanError::Query(_))

@@ -356,11 +356,6 @@ impl QueryEngine {
         }
     }
 
-    /// Total writes seen so far.
-    pub fn writes_seen(&self) -> u64 {
-        self.writes
-    }
-
     /// The answer over everything fed so far.
     pub fn result(&self) -> QueryResult {
         match self.agg {

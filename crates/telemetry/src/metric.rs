@@ -2,7 +2,7 @@
 //! `Arc` clones over atomics; gated operations check [`crate::enabled`]
 //! first, `*_always` variants skip the check (for callers that already
 //! checked, or for per-instance bookkeeping that must count regardless
-//! of the global flag, e.g. the WMS legacy counters).
+//! of the global flag).
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -15,11 +15,6 @@ impl Counter {
     /// A counter not registered anywhere (per-instance bookkeeping).
     pub fn detached() -> Self {
         Counter::default()
-    }
-
-    /// A detached counter starting at `v` (used by deep-copy clones).
-    pub fn detached_with(v: u64) -> Self {
-        Counter(Arc::new(AtomicU64::new(v)))
     }
 
     #[inline]

@@ -11,11 +11,11 @@
 //! of the same effective address — the paper's CodePatch instrumentation
 //! ("a minimum of two additional instructions" per write). The two
 //! hoisting builds add *preliminary checks* in loop preheaders, planned
-//! by [`crate::ssa::hoist_plans`]: [`Options::codepatch_loopopt`] keeps
-//! the paper's Section 9 scope (loop-invariant named scalars) and records
-//! its groups in [`DebugInfo::loopopts`]; [`Options::codepatch_ssa`]
-//! emits every planned target, pointer targets included, into
-//! [`DebugInfo::hoists`].
+//! by [`crate::ssa::hoist_plans`] and recorded in [`DebugInfo::hoists`]:
+//! [`Options::codepatch_loopopt`] keeps the paper's Section 9 scope
+//! (loop-invariant named scalars); [`Options::codepatch_ssa`] emits
+//! every planned target, pointer targets included, as groups a monitor
+//! install re-arms.
 
 use crate::debuginfo::{DebugInfo, FuncInfo, GlobalInfo, LocalInfo, LoopOptInfo, StoreSiteInfo};
 use crate::hir::{BinOp, Builtin, Expr, ExprKind, FuncDef, Hir, Stmt, UnOp};
@@ -52,7 +52,7 @@ impl Options {
     }
 
     /// CodePatch with the paper's Section 9 loop-invariant preliminary
-    /// checks for named scalar targets ([`DebugInfo::loopopts`]).
+    /// checks for named scalar targets ([`DebugInfo::hoists`]).
     pub fn codepatch_loopopt() -> Self {
         Options(Build::CodePatchLoopOpt)
     }
@@ -119,8 +119,7 @@ struct Gen<'a> {
     hoist_stack: Vec<HashMap<StoreTarget, usize>>,
     untraced: Vec<u32>,
     pads: Vec<u32>,
-    /// Emitted hoist groups: [`DebugInfo::loopopts`] in a Section 9
-    /// build, [`DebugInfo::hoists`] in an SSA build.
+    /// Emitted hoist groups ([`DebugInfo::hoists`]).
     groups: Vec<LoopOptInfo>,
     traced_store_count: u32,
     store_sites: Vec<StoreSiteInfo>,
@@ -203,10 +202,6 @@ pub fn generate(hir: &Hir, opts: &Options) -> Compiled {
     }
 
     g.untraced.sort_unstable();
-    let (loopopts, hoists) = match g.build {
-        Build::CodePatchLoopOpt => (g.groups, Vec::new()),
-        _ => (Vec::new(), g.groups),
-    };
     let debug = DebugInfo {
         functions: hir
             .funcs
@@ -245,8 +240,7 @@ pub fn generate(hir: &Hir, opts: &Options) -> Compiled {
             .collect(),
         untraced_store_pcs: g.untraced,
         pad_pcs: g.pads,
-        loopopts,
-        hoists,
+        hoists: g.groups,
         data_size: hir.data_size,
         traced_store_count: g.traced_store_count,
         store_sites: g.store_sites,
@@ -459,6 +453,7 @@ impl<'a> Gen<'a> {
             self.groups.push(LoopOptInfo {
                 preheader_pc: pre_pc,
                 body_pcs: Vec::new(),
+                rearm: self.build == Build::CodePatchSsa,
             });
             groups.insert(target, self.groups.len() - 1);
         }
@@ -1081,9 +1076,10 @@ mod tests {
         let hir = lower(src).unwrap();
         let c = generate(&hir, &Options::codepatch_loopopt());
         // Targets: i (step), acc, g — three hoist groups.
-        assert_eq!(c.debug.loopopts.len(), 3, "{:?}", c.debug.loopopts);
-        for l in &c.debug.loopopts {
+        assert_eq!(c.debug.hoists.len(), 3, "{:?}", c.debug.hoists);
+        for l in &c.debug.hoists {
             assert!(!l.body_pcs.is_empty());
+            assert!(!l.rearm, "Section 9 groups are not re-armed");
             // Preheader pcs point at chk instructions.
             let idx = ((l.preheader_pc - CODE_BASE) / 4) as usize;
             assert!(matches!(c.program.code[idx], Instr::Chk(..)));
@@ -1204,12 +1200,11 @@ mod tests {
             let idx = ((h.preheader_pc - CODE_BASE) / 4) as usize;
             assert!(matches!(c.program.code[idx], Instr::Chk(..)));
             assert!(!h.body_pcs.is_empty(), "{:?}", c.debug.hoists);
+            assert!(h.rearm, "SSA groups re-arm on installs");
             for &pc in &h.body_pcs {
                 assert!(chk_pcs.contains(&pc), "body pc is a store-site chk");
             }
         }
-        // The SSA build does not populate the Section 9 groups.
-        assert!(c.debug.loopopts.is_empty());
         // Semantics unchanged.
         let (o1, c1) = run_opts(SSA_HOIST_SRC, &[], &Options::plain());
         let (o2, c2) = run_opts(SSA_HOIST_SRC, &[], &Options::codepatch_ssa());
@@ -1223,8 +1218,8 @@ mod tests {
         let ssa = generate(&hir, &Options::codepatch_ssa());
         // Section 9 keeps s, g, and the step's i; *p and p[1] go, and
         // with them the `lw` each pointer guard loads its base with.
-        assert_eq!(lo.debug.loopopts.len(), 3, "{:?}", lo.debug.loopopts);
-        assert!(lo.debug.hoists.is_empty());
+        assert_eq!(lo.debug.hoists.len(), 3, "{:?}", lo.debug.hoists);
+        assert!(lo.debug.hoists.iter().all(|h| !h.rearm));
         assert_eq!(lo.program.code.len() + 4, ssa.program.code.len());
         let (o1, c1) = run_opts(SSA_HOIST_SRC, &[], &Options::plain());
         let (o2, c2) = run_opts(SSA_HOIST_SRC, &[], &Options::codepatch_loopopt());
@@ -1266,11 +1261,12 @@ mod tests {
         for (a, b) in cp.debug.store_sites.iter().zip(&ssa.debug.store_sites) {
             assert_eq!((a.func, a.len), (b.func, b.len));
         }
-        // Only the SSA build records SSA hoist groups.
+        // Only the SSA build records re-armed hoist groups.
         assert!(cp.debug.hoists.is_empty());
         assert!(generate(&hir, &Options::codepatch_loopopt())
             .debug
             .hoists
-            .is_empty());
+            .iter()
+            .all(|h| !h.rearm));
     }
 }

@@ -116,13 +116,18 @@ pub struct GlobalInfo {
 }
 
 /// One preheader check group as emitted: one record per (loop, store
-/// target), for Section 9 (`loopopts`) and SSA (`hoists`) groups alike.
+/// target), for Section 9 and SSA groups alike.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoopOptInfo {
     /// Byte pc of the preliminary check in the loop preheader.
     pub preheader_pc: u32,
     /// Byte pcs of the body checks covered by the preliminary check.
     pub body_pcs: Vec<u32>,
+    /// Whether a monitor install re-arms the group: `false` for the
+    /// Section 9 groups of `Options::codepatch_loopopt` builds, `true`
+    /// for the SSA groups of `Options::codepatch_ssa` builds, whose
+    /// pointer targets a mid-loop install could make hittable.
+    pub rearm: bool,
 }
 
 /// Everything the tracer, session enumerator, and WMS strategies need to
@@ -142,15 +147,11 @@ pub struct DebugInfo {
     /// compiled with `nop_padding`); a dynamic code patcher overwrites
     /// these with checks at run time.
     pub pad_pcs: Vec<u32>,
-    /// Section 9 loop-invariant check groups (only in
-    /// `Options::codepatch_loopopt` builds): the SSA planner's groups
-    /// for named scalar targets.
-    pub loopopts: Vec<LoopOptInfo>,
-    /// SSA-planned dominator-hoisted check groups (only in
-    /// `Options::codepatch_ssa` builds): one preheader `chk` dominating
-    /// — and licensing the run-time skip of — each listed body check.
-    /// Unlike `loopopts` these cover stores through loop-invariant
-    /// promotable pointers, not just named scalars.
+    /// Hoisted check groups: one preheader `chk` dominating — and
+    /// licensing the run-time skip of — each listed body check. Only
+    /// `Options::codepatch_loopopt` builds (Section 9: named scalar
+    /// targets) and `Options::codepatch_ssa` builds (also stores through
+    /// loop-invariant promotable pointers) carry any.
     pub hoists: Vec<LoopOptInfo>,
     /// Data segment size in bytes.
     pub data_size: u32,
@@ -258,7 +259,6 @@ mod tests {
             ],
             untraced_store_pcs: vec![0x10004, 0x10008],
             pad_pcs: vec![],
-            loopopts: vec![],
             hoists: vec![],
             data_size: 8,
             traced_store_count: 3,

@@ -11,9 +11,8 @@
 //! X 17            (exit)
 //! ```
 //!
-//! `W` lines carry pc, ba, ea, the written value and the overwritten
-//! (old) value; the legacy 3-field form still decodes, with both values
-//! zero-filled.
+//! `W` lines carry exactly five fields: pc, ba, ea, the written value
+//! and the overwritten (old) value.
 
 use crate::event::{Event, ObjectDesc, Trace};
 use std::error::Error;
@@ -133,12 +132,8 @@ pub fn read_text(input: &str) -> Result<Trace, TraceCodecError> {
                 let pc = parse_hex(parts.next().ok_or_else(bad)?)?;
                 let ba = parse_hex(parts.next().ok_or_else(bad)?)?;
                 let ea = parse_hex(parts.next().ok_or_else(bad)?)?;
-                // Legacy 3-field lines zero-fill value/old; current lines
-                // carry both.
-                let (value, old) = match parts.next() {
-                    Some(v) => (parse_hex(v)?, parse_hex(parts.next().ok_or_else(bad)?)?),
-                    None => (0, 0),
-                };
+                let value = parse_hex(parts.next().ok_or_else(bad)?)?;
+                let old = parse_hex(parts.next().ok_or_else(bad)?)?;
                 Event::Write {
                     pc,
                     ba,
@@ -229,20 +224,25 @@ mod tests {
     }
 
     #[test]
-    fn legacy_3_field_text_write_lines_decode() {
-        let t = read_text("W 00010010 00100000 00100004\n").unwrap();
+    fn write_lines_need_exactly_five_fields() {
+        let t = read_text("W 00010010 00100000 00100004 0000002a 00000007\n").unwrap();
         assert_eq!(
             t.events(),
             &[Event::Write {
                 pc: 0x1_0010,
                 ba: 0x10_0000,
                 ea: 0x10_0004,
-                value: 0,
-                old: 0,
+                value: 0x2a,
+                old: 7,
             }]
         );
-        // 4 fields (value with no old) is malformed.
-        assert!(read_text("W 00010010 00100000 00100004 0000002a").is_err());
+        for line in [
+            "W 00010010 00100000 00100004",
+            "W 00010010 00100000 00100004 0000002a",
+            "W 00010010 00100000 00100004 0000002a 00000007 0",
+        ] {
+            assert!(read_text(line).is_err(), "{line:?} decoded");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! u32:dict_len  { u8:kind u32:payload }*   (dense ObjectDesc dictionary)
 //! u32:n_blocks
 //! blocks: u32:block_events  8 × ( u32:col_len col_bytes )
-//! trailer (optional): "ZMAP" u32:payload_len u64:fnv1a64(payload) payload
+//! trailer: "ZMAP" u32:payload_len u64:fnv1a64(payload) payload
 //! ```
 //!
 //! The eight columns per block, in order: **tags** (run-length pairs
@@ -24,10 +24,6 @@
 //! **olds** (likewise for the overwritten value). Delta state resets at
 //! block boundaries, so blocks decode independently.
 //!
-//! Version 2 is the pre-predicate layout — the same container with only
-//! the first six columns; it still decodes, with write values and olds
-//! zero-filled.
-//!
 //! Run-length tags are what remove per-event decode branching: the
 //! reader dispatches once per *run* and then decodes a straight-line
 //! batch of same-shaped events from the column cursors. A whole file is
@@ -35,36 +31,29 @@
 //! `&[u8]`) and columns are sliced out of it — no per-event I/O, no
 //! intermediate buffers.
 //!
-//! # Zone-map trailer and format compatibility
+//! # Zone-map trailer
 //!
 //! The trailer carries one fixed-width [`ZoneMap`] per block — per-tag
 //! event counts, min/max of write `pc`/`value`/`old` and of addressed
 //! `ba`, and a 64-bucket write-pc occupancy filter — which is what the
-//! query engine's block-skipping pushdown consumes. The trailer is
-//! **optional and ignorable**: files without one (everything written
-//! before zone maps existed, or via [`WriteOpts`] `zone_maps: false`)
-//! decode unchanged, and the full-decode path skips the trailer without
-//! reading its contents, so its layout can evolve behind the checksum.
-//! [`ColumnarReader::open`] validates the trailer (framing, FNV-1a
-//! checksum, per-block consistency) and silently drops it when anything
-//! is off — a damaged trailer degrades queries to a full scan, never to
-//! a wrong answer.
+//! query engine's block-skipping pushdown consumes. It is part of the
+//! one layout: every file carries it, and [`ColumnarReader::open`]
+//! (which [`read_columnar`] is built on) validates it in full — framing,
+//! FNV-1a checksum, zone version, block count, and each zone's per-tag
+//! counts against its block header. A missing or damaged trailer is a
+//! [`TraceCodecError`], like any other defect.
 //!
-//! Malformed or truncated input yields a clean
-//! [`TraceCodecError`] — any valid prefix of a trailer-less file
-//! fails with an error, never a panic (for files carrying a trailer,
-//! the one prefix that drops exactly the whole trailer decodes, to the
-//! complete and correct trace), and allocation sizes are bounded by the
-//! input length so corrupted headers cannot trigger huge reservations.
+//! Malformed or truncated input yields a clean [`TraceCodecError`] —
+//! every proper prefix of a written file fails, never a panic — and
+//! allocation sizes are bounded by the input length so corrupted headers
+//! cannot trigger huge reservations.
 
 use crate::codec::TraceCodecError;
 use crate::event::{Event, ObjectDesc, Trace};
 use std::io::{self, Write};
 
 const MAGIC: &[u8; 4] = b"DBPT";
-/// Legacy columnar version: six columns, no write values.
-const VERSION2: u32 = 2;
-/// Current columnar version: eight columns including values/olds.
+/// The one columnar version: eight columns and a zone-map trailer.
 const VERSION4: u32 = 4;
 
 /// Events per column block. 64K events keeps every block's columns in
@@ -224,8 +213,8 @@ fn event_tag(e: &Event) -> u8 {
     }
 }
 
-/// Per-block summary statistics, serialized in the optional `ZMAP`
-/// trailer and consumed by the query engine's block-skipping pushdown.
+/// Per-block summary statistics, serialized in the `ZMAP` trailer and
+/// consumed by the query engine's block-skipping pushdown.
 ///
 /// Range fields use `min = u32::MAX, max = 0` as the empty sentinel
 /// (checked through the `*_range` accessors). `ba` covers every
@@ -415,40 +404,20 @@ impl Columns {
     }
 }
 
-/// Encoder knobs for [`write_columnar_with`]. The defaults match
-/// [`write_columnar`]: full-size blocks with a zone-map trailer.
-#[derive(Clone, Copy, Debug)]
-pub struct WriteOpts {
-    /// Events per block, clamped to `1..=BLOCK_EVENTS`. Small blocks
-    /// exist for tests that want many block boundaries on tiny traces.
-    pub block_events: usize,
-    /// Emit the `ZMAP` zone-map trailer. `false` reproduces the
-    /// pre-trailer byte format exactly.
-    pub zone_maps: bool,
-}
-
-impl Default for WriteOpts {
-    fn default() -> WriteOpts {
-        WriteOpts {
-            block_events: BLOCK_EVENTS,
-            zone_maps: true,
-        }
-    }
-}
-
-/// Serializes `trace` in the current DBPT version (4), embedding `meta`
-/// as an opaque application blob (the trace store keeps workload
-/// provenance there; pass `&[]` for a plain trace file). Appends the
-/// zone-map trailer; use [`write_columnar_with`] to opt out.
+/// Serializes `trace` in DBPT version 4 with its zone-map trailer,
+/// embedding `meta` as an opaque application blob (the trace store keeps
+/// workload provenance there; pass `&[]` for a plain trace file).
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from `w`.
 pub fn write_columnar(trace: &Trace, meta: &[u8], w: &mut impl Write) -> io::Result<()> {
-    write_columnar_with(trace, meta, w, WriteOpts::default())
+    write_columnar_with(trace, meta, w, BLOCK_EVENTS)
 }
 
-/// [`write_columnar`] with explicit block size and trailer control.
+/// [`write_columnar`] with `block_events` events per block, clamped to
+/// `1..=BLOCK_EVENTS`. Small blocks exist for tests that want many block
+/// boundaries on tiny traces.
 ///
 /// # Errors
 ///
@@ -457,9 +426,9 @@ pub fn write_columnar_with(
     trace: &Trace,
     meta: &[u8],
     w: &mut impl Write,
-    opts: WriteOpts,
+    block_events: usize,
 ) -> io::Result<()> {
-    let block_events = opts.block_events.clamp(1, BLOCK_EVENTS);
+    let block_events = block_events.clamp(1, BLOCK_EVENTS);
     // Dense object dictionary, ids in order of first appearance. The
     // dictionary is small (hundreds of objects), so the standard hasher
     // is fine and keeps this crate dependency-free.
@@ -489,7 +458,7 @@ pub fn write_columnar_with(
     w.write_all(&(n_blocks as u32).to_le_bytes())?;
 
     let mut cols = Columns::default();
-    let mut zones: Vec<ZoneMap> = Vec::with_capacity(if opts.zone_maps { n_blocks } else { 0 });
+    let mut zones: Vec<ZoneMap> = Vec::with_capacity(n_blocks);
     let mut pc_scratch: Vec<u32> = Vec::new();
     for block in trace.events().chunks(block_events) {
         cols.clear();
@@ -569,12 +538,10 @@ pub fn write_columnar_with(
             cols.tags.push(run_tag);
             put_varint(&mut cols.tags, run_len);
         }
-        if opts.zone_maps {
-            if zone.writes > 0 {
-                zone.observe_write_pcs(&pc_scratch);
-            }
-            zones.push(zone);
+        if zone.writes > 0 {
+            zone.observe_write_pcs(&pc_scratch);
         }
+        zones.push(zone);
         w.write_all(&(block.len() as u32).to_le_bytes())?;
         for col in [
             &cols.tags,
@@ -590,19 +557,16 @@ pub fn write_columnar_with(
             w.write_all(col)?;
         }
     }
-    if opts.zone_maps {
-        let mut payload = Vec::with_capacity(8 + zones.len() * ZONE_BYTES);
-        payload.extend_from_slice(&ZONE_VERSION.to_le_bytes());
-        payload.extend_from_slice(&(zones.len() as u32).to_le_bytes());
-        for z in &zones {
-            z.encode(&mut payload);
-        }
-        w.write_all(TRAILER_MAGIC)?;
-        w.write_all(&(payload.len() as u32).to_le_bytes())?;
-        w.write_all(&fnv1a64(&payload).to_le_bytes())?;
-        w.write_all(&payload)?;
+    let mut payload = Vec::with_capacity(8 + zones.len() * ZONE_BYTES);
+    payload.extend_from_slice(&ZONE_VERSION.to_le_bytes());
+    payload.extend_from_slice(&(zones.len() as u32).to_le_bytes());
+    for z in &zones {
+        z.encode(&mut payload);
     }
-    Ok(())
+    w.write_all(TRAILER_MAGIC)?;
+    w.write_all(&(payload.len() as u32).to_le_bytes())?;
+    w.write_all(&fnv1a64(&payload).to_le_bytes())?;
+    w.write_all(&payload)
 }
 
 /// One block's raw (still encoded) column slices, borrowed from the
@@ -685,8 +649,6 @@ impl<'a> RawBlock<'a> {
 
     /// Decodes only the write rows of the requested columns into
     /// `out` (cleared first), returning the block's write count.
-    /// Requires the current 8-column layout (see
-    /// [`ColumnarReader::has_write_values`]).
     ///
     /// # Errors
     ///
@@ -799,12 +761,7 @@ impl<'a> RawBlock<'a> {
     }
 
     /// Fully decodes this block's events, appending to `out`.
-    fn decode_into(
-        &self,
-        has_values: bool,
-        dict: &[ObjectDesc],
-        out: &mut Trace,
-    ) -> Result<(), TraceCodecError> {
+    fn decode_into(&self, dict: &[ObjectDesc], out: &mut Trace) -> Result<(), TraceCodecError> {
         let block_events = self.events as usize;
         let mut tags = Cursor::new(self.tags);
         let mut objs = Cursor::new(self.objs);
@@ -858,21 +815,16 @@ impl<'a> RawBlock<'a> {
                         prev_ba = ba;
                         let len = unzigzag(lens.varint()?);
                         let (ba, ea) = addr_pair(ba, len)?;
-                        let (value, old) = if has_values {
-                            let v = prev_value + unzigzag(values.varint()?);
-                            prev_value = v;
-                            let o = prev_old + unzigzag(olds.varint()?);
-                            prev_old = o;
-                            (word_value(v)?, word_value(o)?)
-                        } else {
-                            (0, 0)
-                        };
+                        let value = prev_value + unzigzag(values.varint()?);
+                        prev_value = value;
+                        let old = prev_old + unzigzag(olds.varint()?);
+                        prev_old = old;
                         out.push(Event::Write {
                             pc,
                             ba,
                             ea,
-                            value,
-                            old,
+                            value: word_value(value)?,
+                            old: word_value(old)?,
                         });
                     }
                 }
@@ -912,216 +864,161 @@ impl<'a> RawBlock<'a> {
     }
 }
 
-/// Parsed container structure: header fields plus raw block slices and
-/// whatever bytes follow the last block (empty or a trailer).
-struct Parsed<'a> {
-    version: u32,
-    meta: &'a [u8],
-    n_events: u64,
-    dict: Vec<ObjectDesc>,
-    blocks: Vec<RawBlock<'a>>,
-    trailer: &'a [u8],
-}
-
-fn parse_container(bytes: &[u8]) -> Result<Parsed<'_>, TraceCodecError> {
-    let mut cur = Cursor::new(bytes);
-    let mut magic = [0u8; 4];
-    for b in &mut magic {
-        *b = cur.u8()?;
+/// Validates the zone-map trailer, which must be exactly the bytes after
+/// the last block: framing, FNV-1a checksum, zone version, one zone per
+/// block, and each zone's per-tag counts against its block header.
+fn parse_zone_trailer(
+    trailer: &[u8],
+    blocks: &[RawBlock<'_>],
+) -> Result<Vec<ZoneMap>, TraceCodecError> {
+    let malformed = |what: String| TraceCodecError::Malformed(format!("zone-map trailer: {what}"));
+    if trailer.len() < 16 {
+        return Err(truncated("zone-map trailer"));
     }
-    if &magic != MAGIC {
-        return Err(TraceCodecError::Malformed("bad magic".into()));
+    if &trailer[..4] != TRAILER_MAGIC {
+        return Err(malformed("bad magic".into()));
     }
-    let version = cur.u32()?;
-    if version != VERSION2 && version != VERSION4 {
-        return Err(TraceCodecError::Malformed(format!(
-            "unsupported version {version}"
+    let mut cur = Cursor::new(&trailer[4..16]);
+    let len = cur.u32()? as usize;
+    let checksum = cur.u64()?;
+    let payload = &trailer[16..];
+    if payload.len() != len {
+        return Err(malformed(format!(
+            "{len} payload bytes promised, {} present",
+            payload.len()
         )));
     }
-    let has_values = version == VERSION4;
-    let meta_len = cur.u32()? as usize;
-    if meta_len > cur.remaining() {
-        return Err(truncated("meta blob"));
-    }
-    let meta = &bytes[cur.pos..cur.pos + meta_len];
-    cur.pos += meta_len;
-
-    let n_events = cur.u64()?;
-    // 5 bytes is the smallest event encoding (amortized); reject counts
-    // the remaining input cannot possibly hold so corrupt headers can't
-    // reserve huge buffers.
-    if n_events / 8 > cur.remaining() as u64 {
-        return Err(truncated("event payload"));
-    }
-    let dict_len = cur.u32()? as usize;
-    if dict_len * 5 > cur.remaining() {
-        return Err(truncated("dictionary"));
-    }
-    let mut dict = Vec::with_capacity(dict_len);
-    for _ in 0..dict_len {
-        let kind = cur.u8()?;
-        let payload = cur.u32()?;
-        dict.push(obj_from_key(kind, payload)?);
-    }
-    let n_blocks = cur.u32()? as usize;
-    if n_blocks * 4 > cur.remaining() {
-        return Err(truncated("blocks"));
-    }
-    let mut blocks = Vec::with_capacity(n_blocks);
-    for _ in 0..n_blocks {
-        let block_events = cur.u32()?;
-        if block_events as usize > BLOCK_EVENTS {
-            return Err(TraceCodecError::Malformed(format!(
-                "block of {block_events} events exceeds the {BLOCK_EVENTS} cap"
-            )));
-        }
-        let tags = cur.segment()?;
-        let objs = cur.segment()?;
-        let pcs = cur.segment()?;
-        let bas = cur.segment()?;
-        let lens = cur.segment()?;
-        let funcs = cur.segment()?;
-        let (values, olds) = if has_values {
-            (cur.segment()?, cur.segment()?)
-        } else {
-            (&[][..], &[][..])
-        };
-        blocks.push(RawBlock {
-            events: block_events,
-            tags,
-            objs,
-            pcs,
-            bas,
-            lens,
-            funcs,
-            values,
-            olds,
-        });
-    }
-    let trailer = &bytes[cur.pos..];
-    Ok(Parsed {
-        version,
-        meta,
-        n_events,
-        dict,
-        blocks,
-        trailer,
-    })
-}
-
-/// The strict full-decode rule for post-block bytes: nothing at all, or
-/// one completely framed `ZMAP` trailer (contents skipped unread).
-/// Anything else — trailing garbage, a truncated trailer — is an error,
-/// so truncation of a trailer-less file is always detected.
-fn check_trailer_framing(trailer: &[u8]) -> Result<(), TraceCodecError> {
-    if trailer.is_empty() {
-        return Ok(());
-    }
-    let trailing = || TraceCodecError::Malformed("trailing bytes".into());
-    if trailer.len() < 16 || &trailer[..4] != TRAILER_MAGIC {
-        return Err(trailing());
-    }
-    let len = u32::from_le_bytes(trailer[4..8].try_into().expect("4 bytes")) as usize;
-    if trailer.len() - 16 != len {
-        return Err(TraceCodecError::Malformed(
-            "zone-map trailer length mismatch".into(),
-        ));
-    }
-    Ok(())
-}
-
-/// Lenient zone-map extraction for the query path: any defect — bad
-/// magic, truncation, checksum mismatch, count disagreement with the
-/// block headers — yields `None`, which callers treat as "no zone
-/// maps, scan everything".
-fn parse_zone_trailer(trailer: &[u8], blocks: &[RawBlock<'_>]) -> Option<Vec<ZoneMap>> {
-    if trailer.len() < 16 || &trailer[..4] != TRAILER_MAGIC {
-        return None;
-    }
-    let len = u32::from_le_bytes(trailer[4..8].try_into().expect("4 bytes")) as usize;
-    let checksum = u64::from_le_bytes(trailer[8..16].try_into().expect("8 bytes"));
-    if trailer.len() - 16 != len {
-        return None;
-    }
-    let payload = &trailer[16..];
     if fnv1a64(payload) != checksum {
-        return None;
+        return Err(malformed("checksum mismatch".into()));
     }
     let mut cur = Cursor::new(payload);
-    if cur.u32().ok()? != ZONE_VERSION {
-        return None;
+    let version = cur.u32()?;
+    if version != ZONE_VERSION {
+        return Err(malformed(format!("unsupported version {version}")));
     }
-    let n = cur.u32().ok()? as usize;
+    let n = cur.u32()? as usize;
     if n != blocks.len() || payload.len() != 8 + n * ZONE_BYTES {
-        return None;
+        return Err(malformed(format!("{n} zones for {} blocks", blocks.len())));
     }
     let mut zones = Vec::with_capacity(n);
-    for block in blocks {
-        let z = ZoneMap::decode(&mut cur).ok()?;
-        let tag_sum = z.installs + z.removes + z.writes + z.enters + z.exits;
-        if z.events != block.events || tag_sum != z.events {
-            return None;
+    for (i, block) in blocks.iter().enumerate() {
+        let z = ZoneMap::decode(&mut cur)?;
+        let tag_sum: u64 = [z.installs, z.removes, z.writes, z.enters, z.exits]
+            .iter()
+            .map(|&c| u64::from(c))
+            .sum();
+        if z.events != block.events || tag_sum != u64::from(z.events) {
+            return Err(malformed(format!(
+                "zone {i} counts disagree with its block header"
+            )));
         }
         zones.push(z);
     }
-    Some(zones)
+    Ok(zones)
 }
 
-/// A lazily-decoding view over a DBPT file (version 2 or 4): header, dictionary and
-/// block directory are parsed eagerly (cheap — column contents are only
-/// sliced, not decoded), zone maps are validated if present, and event
+/// A lazily-decoding view over a DBPT file: header, dictionary, block
+/// directory and zone-map trailer are parsed and validated eagerly
+/// (cheap — column contents are only sliced, not decoded), and event
 /// decode happens per block, per column, on demand.
 ///
 /// This is the substrate for query pushdown: refute a block against its
 /// [`ZoneMap`], and decode only the surviving blocks' relevant columns.
 pub struct ColumnarReader<'a> {
-    version: u32,
     meta: &'a [u8],
     n_events: u64,
     dict: Vec<ObjectDesc>,
     blocks: Vec<RawBlock<'a>>,
-    zones: Option<Vec<ZoneMap>>,
+    zones: Vec<ZoneMap>,
 }
 
 impl<'a> ColumnarReader<'a> {
-    /// Parses the container structure of `bytes` without decoding any
-    /// event columns. A malformed *trailer* is not an error here — the
-    /// zone maps are simply dropped (see [`ColumnarReader::zones`]).
+    /// Parses and validates the container structure of `bytes` without
+    /// decoding any event column.
     ///
     /// # Errors
     ///
     /// [`TraceCodecError::Malformed`] on bad magic/version, dictionary
-    /// defects, truncated block structure, or block headers that
-    /// disagree with the event count.
+    /// defects, truncated block structure, block headers that disagree
+    /// with the event count, and a missing, damaged or inconsistent
+    /// zone-map trailer.
     pub fn open(bytes: &'a [u8]) -> Result<ColumnarReader<'a>, TraceCodecError> {
-        let p = parse_container(bytes)?;
-        let header_sum: u64 = p.blocks.iter().map(|b| u64::from(b.events)).sum();
-        if header_sum != p.n_events {
+        let mut cur = Cursor::new(bytes);
+        let mut magic = [0u8; 4];
+        for b in &mut magic {
+            *b = cur.u8()?;
+        }
+        if &magic != MAGIC {
+            return Err(TraceCodecError::Malformed("bad magic".into()));
+        }
+        let version = cur.u32()?;
+        if version != VERSION4 {
             return Err(TraceCodecError::Malformed(format!(
-                "header promises {} events, blocks hold {header_sum}",
-                p.n_events
+                "unsupported version {version}"
             )));
         }
-        let zones = parse_zone_trailer(p.trailer, &p.blocks);
+        let meta_len = cur.u32()? as usize;
+        if meta_len > cur.remaining() {
+            return Err(truncated("meta blob"));
+        }
+        let meta = &bytes[cur.pos..cur.pos + meta_len];
+        cur.pos += meta_len;
+
+        let n_events = cur.u64()?;
+        // 5 bytes is the smallest event encoding (amortized); reject counts
+        // the remaining input cannot possibly hold so corrupt headers can't
+        // reserve huge buffers.
+        if n_events / 8 > cur.remaining() as u64 {
+            return Err(truncated("event payload"));
+        }
+        let dict_len = cur.u32()? as usize;
+        if dict_len * 5 > cur.remaining() {
+            return Err(truncated("dictionary"));
+        }
+        let mut dict = Vec::with_capacity(dict_len);
+        for _ in 0..dict_len {
+            let kind = cur.u8()?;
+            let payload = cur.u32()?;
+            dict.push(obj_from_key(kind, payload)?);
+        }
+        let n_blocks = cur.u32()? as usize;
+        if n_blocks * 4 > cur.remaining() {
+            return Err(truncated("blocks"));
+        }
+        let mut blocks = Vec::with_capacity(n_blocks);
+        for _ in 0..n_blocks {
+            let block_events = cur.u32()?;
+            if block_events as usize > BLOCK_EVENTS {
+                return Err(TraceCodecError::Malformed(format!(
+                    "block of {block_events} events exceeds the {BLOCK_EVENTS} cap"
+                )));
+            }
+            blocks.push(RawBlock {
+                events: block_events,
+                tags: cur.segment()?,
+                objs: cur.segment()?,
+                pcs: cur.segment()?,
+                bas: cur.segment()?,
+                lens: cur.segment()?,
+                funcs: cur.segment()?,
+                values: cur.segment()?,
+                olds: cur.segment()?,
+            });
+        }
+        let header_sum: u64 = blocks.iter().map(|b| u64::from(b.events)).sum();
+        if header_sum != n_events {
+            return Err(TraceCodecError::Malformed(format!(
+                "header promises {n_events} events, blocks hold {header_sum}"
+            )));
+        }
+        let zones = parse_zone_trailer(&bytes[cur.pos..], &blocks)?;
         Ok(ColumnarReader {
-            version: p.version,
-            meta: p.meta,
-            n_events: p.n_events,
-            dict: p.dict,
-            blocks: p.blocks,
+            meta,
+            n_events,
+            dict,
+            blocks,
             zones,
         })
-    }
-
-    /// Container format version (2 legacy, 4 current).
-    pub fn version(&self) -> u32 {
-        self.version
-    }
-
-    /// `true` when blocks carry the values/olds columns (version 4),
-    /// i.e. [`RawBlock::decode_writes`] is usable.
-    pub fn has_write_values(&self) -> bool {
-        self.version == VERSION4
     }
 
     /// The embedded opaque meta blob.
@@ -1144,54 +1041,29 @@ impl<'a> ColumnarReader<'a> {
         &self.blocks
     }
 
-    /// Validated zone maps, one per block — `None` when the file has no
-    /// trailer or the trailer failed validation (old file, truncation,
-    /// corruption): callers must then scan every block.
-    pub fn zones(&self) -> Option<&[ZoneMap]> {
-        self.zones.as_deref()
-    }
-
-    /// Fully decodes block `idx`, appending its events to `out`.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceCodecError::Malformed`] on column defects in the block.
-    ///
-    /// # Panics
-    ///
-    /// If `idx` is out of range.
-    pub fn decode_block_into(&self, idx: usize, out: &mut Trace) -> Result<(), TraceCodecError> {
-        self.blocks[idx].decode_into(self.has_write_values(), &self.dict, out)
+    /// The validated zone maps, one per block.
+    pub fn zones(&self) -> &[ZoneMap] {
+        &self.zones
     }
 }
 
-/// Deserializes a DBPT trace (version 2 or 4) from an in-memory arena (load
-/// the whole file with one read, then call this), returning the trace
-/// and the embedded meta blob. A zone-map trailer, if present, is
-/// skipped without being read — this full-decode path predates zone
-/// maps and stays byte-compatible in both directions.
+/// Deserializes a DBPT trace from an in-memory arena (load the whole
+/// file with one read, then call this), returning the trace and the
+/// embedded meta blob: [`ColumnarReader::open`], then every block
+/// decoded.
 ///
 /// # Errors
 ///
-/// [`TraceCodecError::Malformed`] on bad magic/version, dictionary or
-/// column inconsistencies, and any truncation — a valid prefix of a DBPT
-/// file is an error, never a panic.
+/// [`TraceCodecError::Malformed`] on anything [`ColumnarReader::open`]
+/// rejects and on column inconsistencies — every proper prefix of a
+/// DBPT file is an error, never a panic.
 pub fn read_columnar(bytes: &[u8]) -> Result<(Trace, Vec<u8>), TraceCodecError> {
-    let p = parse_container(bytes)?;
-    check_trailer_framing(p.trailer)?;
-    let has_values = p.version == VERSION4;
-    let mut trace = Trace::with_capacity(p.n_events as usize);
-    for block in &p.blocks {
-        block.decode_into(has_values, &p.dict, &mut trace)?;
+    let reader = ColumnarReader::open(bytes)?;
+    let mut trace = Trace::with_capacity(reader.n_events as usize);
+    for block in &reader.blocks {
+        block.decode_into(&reader.dict, &mut trace)?;
     }
-    if trace.len() as u64 != p.n_events {
-        return Err(TraceCodecError::Malformed(format!(
-            "header promises {} events, blocks hold {}",
-            p.n_events,
-            trace.len()
-        )));
-    }
-    Ok((trace, p.meta.to_vec()))
+    Ok((trace, reader.meta.to_vec()))
 }
 
 fn word_value(v: i64) -> Result<u32, TraceCodecError> {
@@ -1263,18 +1135,9 @@ mod tests {
         ])
     }
 
-    fn write_no_zones(trace: &Trace, meta: &[u8]) -> Vec<u8> {
+    fn encoded(trace: &Trace, meta: &[u8], block_events: usize) -> Vec<u8> {
         let mut buf = Vec::new();
-        write_columnar_with(
-            trace,
-            meta,
-            &mut buf,
-            WriteOpts {
-                zone_maps: false,
-                ..WriteOpts::default()
-            },
-        )
-        .unwrap();
+        write_columnar_with(trace, meta, &mut buf, block_events).unwrap();
         buf
     }
 
@@ -1330,8 +1193,9 @@ mod tests {
             Err(TraceCodecError::Malformed(_))
         ));
         // The retired row format shares the magic; version 1 and 3 row
-        // files fail on their version word.
-        for v in [1, 3] {
+        // files fail on their version word, as do version 2 columnar
+        // files (six columns, no write values, no trailer).
+        for v in [1, 2, 3] {
             buf[4] = v;
             let err = read_columnar(&buf).unwrap_err();
             assert_eq!(
@@ -1342,50 +1206,68 @@ mod tests {
     }
 
     #[test]
+    fn legacy_v2_six_column_file_is_rejected() {
+        // Hand-build a version-2 container: one block, one write event,
+        // six columns (no values/olds), no trailer. Both readers refuse
+        // it on its version word rather than zero-filling the values.
+        let mut buf = Vec::new();
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&2u32.to_le_bytes());
+        buf.extend_from_slice(&0u32.to_le_bytes()); // meta_len
+        buf.extend_from_slice(&1u64.to_le_bytes()); // n_events
+        buf.extend_from_slice(&0u32.to_le_bytes()); // dict_len
+        buf.extend_from_slice(&1u32.to_le_bytes()); // n_blocks
+        buf.extend_from_slice(&1u32.to_le_bytes()); // block_events
+        let mut tags = Vec::new();
+        tags.push(TAG_WRITE);
+        put_varint(&mut tags, 1);
+        let mut pcs = Vec::new();
+        put_varint(&mut pcs, zigzag(0x1_0010));
+        let mut bas = Vec::new();
+        put_varint(&mut bas, zigzag(0x10_0000));
+        let mut lens = Vec::new();
+        put_varint(&mut lens, zigzag(4));
+        for col in [&tags, &Vec::new(), &pcs, &bas, &lens, &Vec::new()] {
+            buf.extend_from_slice(&(col.len() as u32).to_le_bytes());
+            buf.extend_from_slice(col);
+        }
+        let want = "malformed trace: unsupported version 2";
+        assert_eq!(read_columnar(&buf).unwrap_err().to_string(), want);
+        assert_eq!(ColumnarReader::open(&buf).err().unwrap().to_string(), want);
+    }
+
+    #[test]
     fn every_truncation_prefix_is_a_clean_error() {
-        // Without a trailer the original guarantee holds exactly: no
-        // proper prefix decodes.
-        let buf = write_no_zones(&sample_trace(), b"meta");
+        // No proper prefix decodes or opens — including the one that
+        // stops exactly where the trailer begins.
+        let buf = encoded(&sample_trace(), b"meta", BLOCK_EVENTS);
         for cut in 0..buf.len() {
             assert!(
                 read_columnar(&buf[..cut]).is_err(),
                 "prefix of {cut} bytes decoded"
+            );
+            assert!(
+                ColumnarReader::open(&buf[..cut]).is_err(),
+                "prefix of {cut} bytes opened"
             );
         }
     }
 
     #[test]
     fn trailered_file_truncation_never_yields_a_wrong_trace() {
-        // With a trailer, the single prefix that drops exactly the whole
-        // trailer is a valid trailer-less file and decodes to the full
-        // trace; every other proper prefix errors.
+        // Many small blocks put many block boundaries, and a long
+        // trailer, in front of the cut.
         let t = sample_trace();
-        let plain = write_no_zones(&t, b"meta");
-        let mut buf = Vec::new();
-        write_columnar(&t, b"meta", &mut buf).unwrap();
-        assert!(buf.len() > plain.len(), "trailer should add bytes");
+        let buf = encoded(&t, b"meta", 3);
+        let trailer_len = 24 + ZONE_BYTES * t.len().div_ceil(3);
+        assert_eq!(&buf[buf.len() - trailer_len..][..4], TRAILER_MAGIC);
         for cut in 0..buf.len() {
-            match read_columnar(&buf[..cut]) {
-                Ok((back, meta)) => {
-                    assert_eq!(cut, plain.len(), "unexpected prefix of {cut} bytes decoded");
-                    assert_eq!(back, t);
-                    assert_eq!(meta, b"meta");
-                }
-                Err(_) => assert_ne!(cut, plain.len()),
-            }
+            assert!(
+                read_columnar(&buf[..cut]).is_err(),
+                "prefix of {cut} bytes decoded"
+            );
         }
-    }
-
-    #[test]
-    fn trailer_is_byte_prefix_compatible() {
-        // The trailered encoding is exactly the pre-trailer encoding
-        // plus the trailer: old-style bytes are a strict prefix.
-        let t = sample_trace();
-        let plain = write_no_zones(&t, b"m");
-        let mut with = Vec::new();
-        write_columnar(&t, b"m", &mut with).unwrap();
-        assert_eq!(&with[..plain.len()], &plain[..]);
-        assert_eq!(&with[plain.len()..plain.len() + 4], TRAILER_MAGIC);
+        assert_eq!(read_columnar(&buf).unwrap(), (t, b"meta".to_vec()));
     }
 
     #[test]
@@ -1396,8 +1278,7 @@ mod tests {
         let r = ColumnarReader::open(&buf).unwrap();
         assert_eq!(r.n_events(), t.len() as u64);
         assert_eq!(r.meta(), b"m");
-        assert!(r.has_write_values());
-        let zones = r.zones().expect("trailer should validate");
+        let zones = r.zones();
         assert_eq!(zones.len(), 1);
         let z = &zones[0];
         assert_eq!(
@@ -1415,29 +1296,35 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_trailer_degrades_to_no_zones_but_reader_still_opens() {
+    fn corrupt_trailer_is_an_error() {
         let t = sample_trace();
-        let mut buf = Vec::new();
-        write_columnar(&t, b"m", &mut buf).unwrap();
-        let plain_len = write_no_zones(&t, b"m").len();
-        // Flip a byte inside the trailer payload: checksum breaks.
-        let last = buf.len() - 1;
-        buf[last] ^= 0xff;
-        let r = ColumnarReader::open(&buf).unwrap();
-        assert!(r.zones().is_none());
-        // Blocks remain decodable.
-        let mut back = Trace::new();
-        for i in 0..r.blocks().len() {
-            r.decode_block_into(i, &mut back).unwrap();
+        let good = encoded(&t, b"m", BLOCK_EVENTS);
+        let trailer_start = good.len() - (24 + ZONE_BYTES);
+        // Magic, length, checksum and payload: every flip is caught.
+        for at in [
+            trailer_start,
+            trailer_start + 4,
+            trailer_start + 8,
+            good.len() - 1,
+        ] {
+            let mut buf = good.clone();
+            buf[at] ^= 0xff;
+            assert!(ColumnarReader::open(&buf).is_err(), "flip at {at} opened");
+            assert!(read_columnar(&buf).is_err(), "flip at {at} decoded");
         }
-        assert_eq!(back, t);
-        // Mangle the trailer magic instead: reader still opens (no
-        // zones), while the strict full decode reports trailing bytes.
-        buf[last] ^= 0xff;
-        buf[plain_len] ^= 0xff;
-        let r = ColumnarReader::open(&buf).unwrap();
-        assert!(r.zones().is_none());
+        // Trailing bytes after the trailer are a length mismatch.
+        let mut buf = good.clone();
+        buf.push(0);
         assert!(read_columnar(&buf).is_err());
+        // A checksum-valid trailer whose zone counts disagree with the
+        // block header is rejected too.
+        let mut buf = good;
+        let payload = trailer_start + 16;
+        buf[payload + 8 + 12] ^= 1; // zone 0's `writes`
+        let sum = fnv1a64(&buf[payload..]);
+        buf[trailer_start + 8..payload].copy_from_slice(&sum.to_le_bytes());
+        let err = ColumnarReader::open(&buf).err().expect("inconsistent zone");
+        assert!(err.to_string().contains("disagree"), "{err}");
     }
 
     #[test]
@@ -1475,69 +1362,15 @@ mod tests {
     #[test]
     fn small_block_writer_roundtrips_many_blocks() {
         let t = sample_trace();
-        let mut buf = Vec::new();
-        write_columnar_with(
-            &t,
-            b"m",
-            &mut buf,
-            WriteOpts {
-                block_events: 3,
-                zone_maps: true,
-            },
-        )
-        .unwrap();
+        let buf = encoded(&t, b"m", 3);
         let (back, meta) = read_columnar(&buf).unwrap();
         assert_eq!(back, t);
         assert_eq!(meta, b"m");
         let r = ColumnarReader::open(&buf).unwrap();
         assert_eq!(r.blocks().len(), t.len().div_ceil(3));
-        let zones = r.zones().expect("zones validate");
+        let zones = r.zones();
         assert_eq!(zones.len(), r.blocks().len());
         let write_sum: u32 = zones.iter().map(|z| z.writes).sum();
         assert_eq!(write_sum, 2);
-    }
-
-    #[test]
-    fn legacy_v2_six_column_file_decodes_with_zero_filled_values() {
-        // Hand-build a version-2 container: one block, one write event,
-        // six columns (no values/olds).
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&VERSION2.to_le_bytes());
-        buf.extend_from_slice(&0u32.to_le_bytes()); // meta_len
-        buf.extend_from_slice(&1u64.to_le_bytes()); // n_events
-        buf.extend_from_slice(&0u32.to_le_bytes()); // dict_len
-        buf.extend_from_slice(&1u32.to_le_bytes()); // n_blocks
-        buf.extend_from_slice(&1u32.to_le_bytes()); // block_events
-        let mut tags = Vec::new();
-        tags.push(TAG_WRITE);
-        put_varint(&mut tags, 1);
-        let mut pcs = Vec::new();
-        put_varint(&mut pcs, zigzag(0x1_0010));
-        let mut bas = Vec::new();
-        put_varint(&mut bas, zigzag(0x10_0000));
-        let mut lens = Vec::new();
-        put_varint(&mut lens, zigzag(4));
-        for col in [&tags, &Vec::new(), &pcs, &bas, &lens, &Vec::new()] {
-            buf.extend_from_slice(&(col.len() as u32).to_le_bytes());
-            buf.extend_from_slice(col);
-        }
-        let (t, meta) = read_columnar(&buf).unwrap();
-        assert!(meta.is_empty());
-        assert_eq!(
-            t.events(),
-            &[Event::Write {
-                pc: 0x1_0010,
-                ba: 0x10_0000,
-                ea: 0x10_0004,
-                value: 0,
-                old: 0,
-            }]
-        );
-        // The lazy reader opens legacy files as well — no zones, no
-        // write-value columns.
-        let r = ColumnarReader::open(&buf).unwrap();
-        assert!(!r.has_write_values());
-        assert!(r.zones().is_none());
     }
 }

@@ -188,6 +188,12 @@ impl Trace {
         self.events.push(e);
     }
 
+    /// Releases the event storage's growth slack, so a finished trace
+    /// holds (and [`Trace::approx_bytes`] charges) only its events.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.events.shrink_to_fit();
+    }
+
     /// Approximate resident size of this trace in bytes: the event
     /// storage plus the container itself. The replay service's trace
     /// cache charges entries against its byte budget with this, so it

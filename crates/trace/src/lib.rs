@@ -27,11 +27,11 @@
 //! * the columnar DBPT format ([`write_columnar`] / [`read_columnar`]),
 //!   the only binary trace form, and the persistent [`TraceStore`]
 //!   built on it, plus a text codec for debugging ([`write_text`] /
-//!   [`read_text`]). DBPT files optionally carry a per-block
-//!   [`ZoneMap`] trailer that [`ColumnarReader`] validates
-//!   and the query engine uses to skip blocks; the trailer is fully
-//!   backward/forward compatible — old files decode unchanged, and the
-//!   full-decode path skips the trailer without reading it.
+//!   [`read_text`]). DBPT has one layout: eight columns per block and
+//!   a per-block [`ZoneMap`] trailer that the query engine uses to
+//!   skip blocks. [`ColumnarReader`] validates the whole file, trailer
+//!   included, and [`read_columnar`] is that reader plus a decode of
+//!   every block; anything else is a [`TraceCodecError`].
 //!
 //! # Examples
 //!
@@ -56,7 +56,7 @@ mod tracer;
 pub use codec::{read_text, write_text, TraceCodecError};
 pub use columnar::{
     read_columnar, write_columnar, write_columnar_with, BlockWrites, ColumnarReader, RawBlock,
-    WriteCols, WriteOpts, ZoneMap, BLOCK_EVENTS,
+    WriteCols, ZoneMap, BLOCK_EVENTS,
 };
 pub use event::{Event, EventSink, ObjectDesc, Trace, TraceStats};
 pub use store::TraceStore;

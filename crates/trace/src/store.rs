@@ -199,8 +199,8 @@ mod tests {
         store.save(9, &small_trace(), &[]).unwrap();
         let path = store.dir().join(format!("{:016x}.dbpt", 9));
         let mut bytes = fs::read(&path).unwrap();
-        // Cut inside the block section (not at the zone-map trailer
-        // boundary, the one prefix of a trailered file that decodes).
+        // Every proper prefix of a DBPT file is an error; cut inside
+        // the header.
         bytes.truncate(20);
         fs::write(&path, &bytes).unwrap();
         assert!(store.load(9).is_err());

@@ -65,12 +65,14 @@ impl<F: FnMut(&mut Vec<Event>)> BatchSink<F> {
         self.batch.clear();
     }
 
-    /// Flushes the tail batch and returns the teed trace. The flush
-    /// closure drops here, which ends a [`channel_sink`]'s stream.
+    /// Flushes the tail batch and returns the teed trace, without its
+    /// growth slack. The flush closure drops here, which ends a
+    /// [`channel_sink`]'s stream.
     pub fn finish(mut self) -> Trace {
         if !self.batch.is_empty() {
             self.flush();
         }
+        self.tee.shrink_to_fit();
         self.tee
     }
 }

@@ -7,14 +7,12 @@
 //! The zone-map trailer carries its own obligations: the per-block
 //! summaries must match a brute-force recomputation from the decoded
 //! events (soundness of every refutation the query planner derives
-//! from them), a trailered file must be a strict byte-prefix extension
-//! of the trailer-less encoding (old readers see the same bytes), and
-//! any corruption of the trailer must degrade the lazy reader to
-//! "no zones" while leaving the decoded trace intact.
+//! from them), and the trailer is required — every proper prefix of a
+//! file, and every single-byte flip inside the trailer, makes both the
+//! full decode and the lazy reader fail.
 
 use databp_trace::{
     read_columnar, write_columnar, write_columnar_with, ColumnarReader, Event, ObjectDesc, Trace,
-    WriteOpts,
 };
 use proptest::prelude::*;
 
@@ -73,47 +71,49 @@ proptest! {
         prop_assert_eq!(back_meta, meta);
     }
 
-    /// Every proper prefix of a valid trailer-less file is a decode
-    /// error — the decoder must detect truncation, not invent events or
-    /// panic. (Trailered files have exactly one benign cut — the
-    /// trailer boundary — covered by the dedicated property below.)
+    /// Every proper prefix of a valid file is an error for both the
+    /// full decode and the lazy reader — the decoder must detect
+    /// truncation, not invent events or panic.
     #[test]
-    fn truncation_is_a_clean_error(trace in arb_trace(), frac in 0.0f64..1.0) {
+    fn truncation_is_a_clean_error(
+        trace in arb_trace(),
+        block_events in 1usize..128,
+        frac in 0.0f64..1.0,
+    ) {
         let mut buf = Vec::new();
-        write_columnar_with(&trace, b"m", &mut buf, WriteOpts { zone_maps: false, ..WriteOpts::default() }).unwrap();
+        write_columnar_with(&trace, b"m", &mut buf, block_events).unwrap();
         let cut = ((buf.len() as f64) * frac) as usize;
         prop_assert!(cut < buf.len());
         prop_assert!(read_columnar(&buf[..cut]).is_err());
+        prop_assert!(ColumnarReader::open(&buf[..cut]).is_err());
     }
 
-    /// Truncating a *trailered* file never yields a wrong trace: every
-    /// cut either errors or (only at the exact trailer boundary)
-    /// decodes to the full original.
+    /// Cuts inside the trailer, including the one that drops exactly
+    /// the whole trailer, never yield a trace: the trailer is required.
     #[test]
-    fn trailered_truncation_never_wrong(trace in arb_trace(), frac in 0.0f64..1.0) {
+    fn trailered_truncation_never_wrong(trace in arb_trace(), keep in any::<u16>()) {
         let mut buf = Vec::new();
         write_columnar(&trace, b"m", &mut buf).unwrap();
-        let cut = ((buf.len() as f64) * frac) as usize;
-        match read_columnar(&buf[..cut]) {
-            Err(_) => {}
-            Ok((back, meta)) => {
-                prop_assert_eq!(back, trace);
-                prop_assert_eq!(meta, b"m".to_vec());
-            }
-        }
+        let n_blocks = ColumnarReader::open(&buf).unwrap().blocks().len();
+        let trailer_len = 24 + 64 * n_blocks;
+        let cut = buf.len() - trailer_len + usize::from(keep) % trailer_len;
+        prop_assert!(read_columnar(&buf[..cut]).is_err());
+        prop_assert!(ColumnarReader::open(&buf[..cut]).is_err());
     }
 
-    /// A trailered file is the trailer-less encoding plus a suffix —
-    /// byte-for-byte — so a reader that ignores trailing sections (the
-    /// old on-disk consumer contract) sees unchanged bytes.
+    /// The trailer is a strict suffix of every file: the last
+    /// `24 + 64 × blocks` bytes, framed by `ZMAP` and a payload length
+    /// of `8 + 64 × blocks` — the size the tests above cut into.
     #[test]
     fn trailer_is_a_strict_suffix(trace in arb_trace(), block_events in 1usize..128) {
-        let mut plain = Vec::new();
-        write_columnar_with(&trace, b"m", &mut plain, WriteOpts { block_events, zone_maps: false }).unwrap();
-        let mut full = Vec::new();
-        write_columnar_with(&trace, b"m", &mut full, WriteOpts { block_events, zone_maps: true }).unwrap();
-        prop_assert!(full.len() > plain.len());
-        prop_assert_eq!(&full[..plain.len()], &plain[..]);
+        let mut buf = Vec::new();
+        write_columnar_with(&trace, b"m", &mut buf, block_events).unwrap();
+        let n_blocks = trace.len().div_ceil(block_events);
+        prop_assert_eq!(ColumnarReader::open(&buf).unwrap().blocks().len(), n_blocks);
+        let trailer = &buf[buf.len() - (24 + 64 * n_blocks)..];
+        prop_assert_eq!(&trailer[..4], b"ZMAP");
+        let payload_len = u32::from_le_bytes(trailer[4..8].try_into().unwrap());
+        prop_assert_eq!(payload_len as usize, 8 + 64 * n_blocks);
     }
 
     /// Zone maps agree with a brute-force recomputation over the
@@ -122,9 +122,9 @@ proptest! {
     #[test]
     fn zone_maps_match_brute_force(trace in arb_trace(), block_events in 1usize..128) {
         let mut buf = Vec::new();
-        write_columnar_with(&trace, b"", &mut buf, WriteOpts { block_events, zone_maps: true }).unwrap();
+        write_columnar_with(&trace, b"", &mut buf, block_events).unwrap();
         let reader = ColumnarReader::open(&buf).unwrap();
-        let zones = reader.zones().expect("freshly written trailer validates");
+        let zones = reader.zones();
         prop_assert_eq!(zones.len(), reader.blocks().len());
         for (zone, chunk) in zones.iter().zip(trace.events().chunks(block_events.max(1))) {
             let mut writes = 0u32;
@@ -149,30 +149,24 @@ proptest! {
         }
     }
 
-    /// Any single-byte corruption of the trailer leaves the decoded
-    /// trace intact; the lazy reader either keeps a checksum-valid
-    /// trailer or reports no zones — never a malformed one.
+    /// Any single-byte corruption of the trailer is an error for both
+    /// the full decode and the lazy reader: the framing, the FNV-1a
+    /// checksum and the per-block cross-checks leave no byte unguarded.
     #[test]
-    fn trailer_corruption_degrades_to_no_zones(
+    fn trailer_corruption_is_an_error(
         trace in arb_trace(),
+        block_events in 1usize..128,
         at in any::<u16>(),
         flip in any::<u8>(),
     ) {
-        let mut plain = Vec::new();
-        write_columnar_with(&trace, b"m", &mut plain, WriteOpts { zone_maps: false, ..WriteOpts::default() }).unwrap();
         let mut buf = Vec::new();
-        write_columnar(&trace, b"m", &mut buf).unwrap();
-        let trailer_len = buf.len() - plain.len();
-        prop_assert!(trailer_len > 0);
+        write_columnar_with(&trace, b"m", &mut buf, block_events).unwrap();
+        let n_blocks = ColumnarReader::open(&buf).unwrap().blocks().len();
+        let trailer_len = 24 + 64 * n_blocks;
         let at = buf.len() - 1 - (usize::from(at) % trailer_len);
         buf[at] ^= flip | 1;
-        if let Ok(reader) = ColumnarReader::open(&buf) {
-            let mut back = Trace::new();
-            for i in 0..reader.blocks().len() {
-                reader.decode_block_into(i, &mut back).unwrap();
-            }
-            prop_assert_eq!(back, trace);
-        }
+        prop_assert!(read_columnar(&buf).is_err());
+        prop_assert!(ColumnarReader::open(&buf).is_err());
     }
 
     /// Flipping arbitrary bytes never panics: the decoder either

@@ -674,7 +674,7 @@ mod tests {
         for name in ["cc", "tex", "spice", "qcd", "bps"] {
             let p = run_scaled(name);
             assert!(
-                !p.codepatch_loopopt().debug.loopopts.is_empty(),
+                !p.codepatch_loopopt().debug.hoists.is_empty(),
                 "{name} has loops with invariant scalar stores"
             );
         }
