@@ -278,68 +278,6 @@ impl Expr<u16> {
             }
         }
     }
-
-    /// Three-valued abstract evaluation over a partially known
-    /// environment: `Some(v)` when the subexpression's value is forced,
-    /// `None` when it depends on something unknown. `old` and `hits` are
-    /// always unknown.
-    fn abstract_eval(&self, value: Option<i64>, writer: Option<u16>) -> Option<i64> {
-        match self {
-            Expr::Value => value,
-            Expr::Old | Expr::Hits => None,
-            Expr::Lit(n) => Some(*n),
-            Expr::WriterIn(f) => writer.map(|w| i64::from(w == *f)),
-            Expr::Not(e) => e.abstract_eval(value, writer).map(|v| i64::from(v == 0)),
-            Expr::Neg(e) => e.abstract_eval(value, writer).map(i64::wrapping_neg),
-            Expr::Bin(op, l, r) => {
-                let a = l.abstract_eval(value, writer);
-                let b = r.abstract_eval(value, writer);
-                match op {
-                    // Logical operators dominate on one known side.
-                    BinOp::And => match (a, b) {
-                        (Some(0), _) | (_, Some(0)) => Some(0),
-                        (Some(_), Some(_)) => Some(1),
-                        _ => None,
-                    },
-                    BinOp::Or => match (a, b) {
-                        (Some(a), _) if a != 0 => Some(1),
-                        (_, Some(b)) if b != 0 => Some(1),
-                        (Some(0), Some(0)) => Some(0),
-                        _ => None,
-                    },
-                    _ => {
-                        let (a, b) = (a?, b?);
-                        Some(match op {
-                            BinOp::Add => a.wrapping_add(b),
-                            BinOp::Sub => a.wrapping_sub(b),
-                            BinOp::Mul => a.wrapping_mul(b),
-                            BinOp::Div => {
-                                if b == 0 {
-                                    0
-                                } else {
-                                    a.wrapping_div(b)
-                                }
-                            }
-                            BinOp::Rem => {
-                                if b == 0 {
-                                    0
-                                } else {
-                                    a.wrapping_rem(b)
-                                }
-                            }
-                            BinOp::Eq => i64::from(a == b),
-                            BinOp::Ne => i64::from(a != b),
-                            BinOp::Lt => i64::from(a < b),
-                            BinOp::Le => i64::from(a <= b),
-                            BinOp::Gt => i64::from(a > b),
-                            BinOp::Ge => i64::from(a >= b),
-                            BinOp::And | BinOp::Or => unreachable!("handled above"),
-                        })
-                    }
-                }
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -390,7 +328,16 @@ impl Iv {
         }
     }
 
+    /// The exact (wrapping) result of `f` when both operands are
+    /// singletons, as the total concrete arithmetic computes it.
+    fn exact(self, b: Iv, f: fn(i64, i64) -> i64) -> Option<Iv> {
+        Some(Iv::point(f(self.singleton()?, b.singleton()?)))
+    }
+
     fn add(self, b: Iv) -> Iv {
+        if let Some(p) = self.exact(b, i64::wrapping_add) {
+            return p;
+        }
         match (self.lo.checked_add(b.lo), self.hi.checked_add(b.hi)) {
             (Some(lo), Some(hi)) => Iv { lo, hi },
             _ => TOP,
@@ -398,6 +345,9 @@ impl Iv {
     }
 
     fn sub(self, b: Iv) -> Iv {
+        if let Some(p) = self.exact(b, i64::wrapping_sub) {
+            return p;
+        }
         match (self.lo.checked_sub(b.hi), self.hi.checked_sub(b.lo)) {
             (Some(lo), Some(hi)) => Iv { lo, hi },
             _ => TOP,
@@ -405,6 +355,9 @@ impl Iv {
     }
 
     fn mul(self, b: Iv) -> Iv {
+        if let Some(p) = self.exact(b, i64::wrapping_mul) {
+            return p;
+        }
         // A product over a box attains its extremes at the corners; if
         // every corner is representable, so is every interior product.
         let corners = [
@@ -450,6 +403,9 @@ impl Iv {
     }
 
     fn neg(self) -> Iv {
+        if let Some(v) = self.singleton() {
+            return Iv::point(v.wrapping_neg());
+        }
         match (self.hi.checked_neg(), self.lo.checked_neg()) {
             (Some(lo), Some(hi)) => Iv { lo, hi },
             _ => TOP,
@@ -1140,11 +1096,21 @@ impl CompiledPredicate {
     /// write a site can perform, given what is statically known:
     /// `value` when the stored value is a compile-time constant (already
     /// masked to the store width), `writer` when the owning function is
-    /// known. Conservative — `None` inputs and `old`/`hits` are treated
-    /// as unknown, and a predicate that reads `hits` is never statically
-    /// false (see [`CompiledPredicate::uses_hits`]).
+    /// known. Conservative — an unknown `value`, and `old`, range over
+    /// every `u32`; an unknown writer is any function; and a predicate
+    /// that reads `hits` is never statically false (see
+    /// [`CompiledPredicate::uses_hits`]).
     pub fn statically_false(&self, value: Option<u32>, writer: Option<u16>) -> bool {
-        !self.uses_hits && self.root.abstract_eval(value.map(i64::from), writer) == Some(0)
+        let span = WriteSpan {
+            value: value.map_or((0, u32::MAX), |v| (v, v)),
+            old: (0, u32::MAX),
+            hits: (1, u64::MAX),
+        };
+        !self.uses_hits
+            && self
+                .root
+                .range_eval(&span, &mut |f| writer.map(|w| w == f))
+                .is_zero()
     }
 }
 
@@ -1377,6 +1343,47 @@ mod tests {
         assert!(!p.statically_false(Some(3), Some(0)));
         assert!(!compiled("false && hits > 0").statically_false(None, None));
         assert!(compiled("false && old > 0").statically_false(None, None));
+    }
+
+    #[test]
+    fn static_verdicts_table() {
+        // (predicate, known value, known writer, statically false?)
+        let table: &[(&str, Option<u32>, Option<u16>, bool)] = &[
+            ("value > 10", Some(3), None, true),
+            ("value > 10", Some(11), None, false),
+            ("value > 10", None, Some(0), false),
+            // An unknown value or `old` is still a `u32`.
+            ("value < 0", None, None, true),
+            ("old < 0", None, None, true),
+            ("old > 10", Some(3), Some(0), false),
+            ("value % 4 > 3", None, None, true),
+            ("writer in put", None, Some(0), true),
+            ("writer in put", None, Some(1), false),
+            ("writer in put", None, None, false),
+            ("!(writer in main) && value == 1", Some(1), Some(0), true),
+            ("value == 7 && old != 0", Some(8), None, true),
+            ("value == 7 && old != 0", Some(7), None, false),
+            ("old != 0 || value == 7", Some(8), None, false),
+            ("old != 0 || value == 7", Some(7), None, false),
+            ("value - 1 == 4294967295", Some(0), None, true),
+            ("-value == 0 - 5", Some(5), None, false),
+            ("value / 0 != 0", Some(5), None, true),
+            // Only a wrapping product reaches zero.
+            ("value * 4611686018427387904 * 4 != 0", Some(1), None, true),
+            ("value * 4611686018427387904 * 4 != 0", None, None, false),
+            ("-(0 - 9223372036854775807 - 1) > 0", None, None, true),
+            ("value + 9223372036854775807 > 0", Some(1), None, true),
+            ("value > 10 && hits % 2 == 0", Some(3), Some(0), false),
+            ("false && hits > 0", None, None, false),
+            ("false && old > 0", None, None, true),
+        ];
+        for &(src, value, writer, dead) in table {
+            assert_eq!(
+                compiled(src).statically_false(value, writer),
+                dead,
+                "{src} with value {value:?}, writer {writer:?}"
+            );
+        }
     }
 
     #[test]

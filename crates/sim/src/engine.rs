@@ -18,9 +18,8 @@
 //! in `k`), so one sweep over the widest range classifies every base
 //! page with its *level* `m` — the smallest `k` whose range contains it
 //! — and an instance found at level `m` is touched at exactly the sizes
-//! `m..n`. Page-derived protection state (`vm_protect` /
-//! `vm_unprotect` / active-page-miss tallies) stays per size; the
-//! interned page contents, membership interning, and
+//! `m..n`. Active-page-miss tallies and protection counts stay per
+//! size; the interned page contents, membership interning, and
 //! install/remove/hit/miss accounting are shared, so the dominant replay
 //! work is paid once regardless of ladder length.
 //!
@@ -64,6 +63,13 @@
 //! transition table is cleared. Ids carry the collection epoch they
 //! were interned in, so a dropped state's id is never handed out again.
 //!
+//! Page states are the only record of what is monitored where, and the
+//! paper's VM counting variables are read off them: a member session of
+//! an installed instance is newly protected on a size-`k` page exactly
+//! when no base page under that page held a state whose lane union
+//! contains it before the install, and a removal unprotects it when
+//! none does afterwards.
+//!
 //! # Memoized write effects
 //!
 //! Traced programs are loops: the same store site writes the same
@@ -71,28 +77,24 @@
 //! such a write — which sessions take a `MonitorHit`, which take an
 //! active-page miss and at which minimum ladder level — is a pure
 //! function of the span and the contents of its probed pages. The
-//! engine therefore memoizes settled effects in a `(ba, ea) → effect`
-//! table; an effect records the state ids of the span's probed base
-//! pages, and is reusable exactly when every probed page still holds the
-//! state it was recorded under. Monitors that come and go around the
-//! span (a call's locals, a loop's heap block) do not spoil it as long
-//! as they are back in place, or gone again, when the span is next
-//! written. Effects are applied *deferred*: a valid memo hit only
-//! increments the effect's multiplicity, and the accumulated count is
-//! flushed into the per-session counters when the effect is superseded
-//! or at the final `counts` settle. A repeated write then costs one
-//! occupancy probe, one hash lookup, a compare of a few page ids, and
-//! one increment — O(1) no matter how many sessions it touches; the
-//! full page sweep runs only for novel spans or when a probed page holds
-//! different monitors than at the span's previous write. Effect session
-//! lists live in append-only arenas (`eff_hits` / `eff_apms`), so a
-//! flush is a branch-free counter walk. A superseded effect's ranges are
-//! dead; once dead entries are more than half the arenas (and more than
-//! `COMPACT_FLOOR`), the live ranges are slid down in place and
-//! re-pointed, so the arenas stay within about twice the live effect
-//! lists however long the trace. The engine counts memo hits, stale
-//! re-sweeps, new-span sweeps, interned states and transitions in
-//! [`EngineStats`].
+//! engine therefore memoizes settled effects keyed by exactly that: the
+//! span and the state ids of its probed base pages. A span written
+//! under several page states (a global next to a callee's locals,
+//! written inside and outside the call) keeps one effect per state
+//! combination, and none is ever superseded. Effects are applied
+//! *deferred*: a memo hit only increments the effect's multiplicity,
+//! and the accumulated counts are flushed into the per-session counters
+//! at the final `counts` settle. A repeated write then costs one
+//! occupancy probe, one hash lookup over a few page ids, and one
+//! increment — O(1) no matter how many sessions it touches; the full
+//! page sweep runs only for a combination not seen before. Each effect
+//! owns one range of one append-only arena of packed entries (a hit, or
+//! an APM at its minimum level), so a flush is one counter walk. The
+//! table is bounded by `EFFECT_TABLE_CAP` arena entries: reaching it
+//! flushes every effect and empties the table. An effect recorded under
+//! a collected state never matches again, since ids are never reused.
+//! The engine counts memo hits, sweeps, interned states and transitions
+//! in [`EngineStats`].
 //!
 //! Hits are page-size-independent by construction: a write that overlaps
 //! a monitored instance shares at least one byte with it, hence shares a
@@ -111,7 +113,8 @@ use crate::stream::{FixedMembership, StreamingReplay};
 use databp_machine::PageSize;
 use databp_models::Counts;
 use databp_trace::{ObjectDesc, Trace};
-use rustc_hash::FxHashMap;
+use rustc_hash::{FxHashMap, FxHasher};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// A live monitored object instance, as page contents hold it. The
@@ -126,9 +129,10 @@ struct Instance {
 }
 
 /// An interned page content: the sorted multiset of instances on one
-/// base page, and the union of their member lanes as unsorted nonzero
-/// `(word, bits)` pairs. A free slot holds no instances. The instance
-/// list is shared with the state's key in the content map.
+/// base page, and the union of their member lanes as nonzero
+/// `(word, bits)` pairs ascending by word. A free slot holds no
+/// instances. The instance list is shared with the state's key in the
+/// content map.
 #[derive(Debug, Default)]
 struct PageState {
     id: u64,
@@ -145,20 +149,22 @@ const EMPTY: u64 = 0;
 /// about 6K states and 6.5K transitions, well below this.
 const STATE_TABLE_FLOOR: usize = 1 << 15;
 
-/// A memoized, settled write effect: arena ranges of the sessions that
-/// hit and the sessions that take an APM (packed with their minimum
-/// ladder level), valid while the write's probed base pages hold the
-/// state ids recorded at `eff_pages[pages..]`, one per probed page.
-/// `count` is the effect's multiplicity — how many writes produced it
-/// since it was last flushed into the per-session counters. Deferring
-/// the application this way makes a repeated write O(1) no matter how
-/// many sessions it touches.
+/// Effect-arena entries the write memo may hold; reaching the cap
+/// flushes every effect and empties the table. The full-scale paper
+/// workloads peak at about 3.5M entries (`bps`), below this.
+const EFFECT_TABLE_CAP: usize = 1 << 23;
+
+/// A memoized, settled write effect: where its key starts in
+/// `eff_keys`, the range of the effect arena holding its packed
+/// entries, and its multiplicity — how many writes produced it since it was last
+/// flushed into the per-session counters. Deferring the application
+/// this way makes a repeated write O(1) no matter how many sessions it
+/// touches.
 #[derive(Debug, Clone, Copy)]
 struct Effect {
-    pages: u32,
     count: u64,
-    hits: (u32, u32),
-    apms: (u32, u32),
+    key: u32,
+    entries: (u32, u32),
 }
 
 /// How often the engine's write memo and page-state interning did
@@ -166,11 +172,9 @@ struct Effect {
 /// replay by [`StreamingReplay::finish`].
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct EngineStats {
-    /// Writes answered by a still-valid memoized effect.
+    /// Writes answered by a memoized effect.
     pub(crate) memo_hits: u64,
-    /// Sweeps of a span whose memoized effect had gone stale.
-    pub(crate) memo_stale: u64,
-    /// Sweeps of a span written for the first time.
+    /// Sweeps of a span under page states it was not memoized with.
     pub(crate) memo_new: u64,
     /// Page states interned (a state collected and seen again counts
     /// again).
@@ -184,63 +188,15 @@ fn page_ids(page_state: &[u64], lo: u32, hi: u32) -> impl Iterator<Item = u64> +
     (lo..=hi).map(|p| page_state.get(p as usize).copied().unwrap_or(EMPTY))
 }
 
-/// APM arena entries pack `level << LEVEL_SHIFT | session`.
+/// Effect-arena entries pack `tag << LEVEL_SHIFT | session`: tag 0 is a
+/// hit, tag `k + 1` an APM at minimum ladder level `k`.
 const LEVEL_SHIFT: u32 = 24;
 
-/// Dead arena entries (both arenas together) tolerated before a
-/// compaction is considered: below this, reclaiming is not worth a pass.
-const COMPACT_FLOOR: usize = 1 << 16;
-
-/// Per-page active member-monitor counts: unsorted `(session, count)`
-/// pairs, scanned linearly. A page's distinct member-session set is
-/// small (the instances living there share interned member sets), so a
-/// sequential L1 scan beats a hash probe per (session, page) op — and
-/// install/remove pay this op per member per covered page per size,
-/// which makes it the hottest part of instance turnover.
-#[derive(Debug, Clone, Default)]
-struct PageSessions(Vec<(u32, u32)>);
-
-impl PageSessions {
-    /// Increments `s`'s count; true when the page becomes newly active
-    /// for `s` (a `vm_protect` transition).
-    #[inline]
-    fn add(&mut self, s: u32) -> bool {
-        for p in self.0.iter_mut() {
-            if p.0 == s {
-                p.1 += 1;
-                return false;
-            }
-        }
-        self.0.push((s, 1));
-        true
-    }
-
-    /// Decrements `s`'s count; true when the page goes inactive for `s`
-    /// (a `vm_unprotect` transition).
-    #[inline]
-    fn sub(&mut self, s: u32) -> bool {
-        for (i, p) in self.0.iter_mut().enumerate() {
-            if p.0 == s {
-                p.1 -= 1;
-                if p.1 == 0 {
-                    self.0.swap_remove(i);
-                    return true;
-                }
-                return false;
-            }
-        }
-        panic!("page count exists for member session");
-    }
-}
-
-/// Page-derived state for one ladder size. Only the base (smallest)
-/// size carries page contents; coarser sizes keep protection counts
-/// and active-page-miss tallies of their own but share the base walk.
+/// Page-derived counters for one ladder size. Only the base (smallest)
+/// size carries page contents; every size reads its protection
+/// transitions off them and keeps its own per-session accumulators.
 struct SizeState {
     page_size: PageSize,
-    /// Active member-monitor counts indexed by this size's page number.
-    page_counts: Vec<PageSessions>,
-    // Per-session accumulators.
     apm: Vec<u64>,
     vm_protect: Vec<u64>,
     vm_unprotect: Vec<u64>,
@@ -297,20 +253,19 @@ pub(crate) struct EngineCore {
     word_stamp: Vec<u64>,
     /// Scratch: lane words dirtied by the current write (reused).
     dirty: Vec<u32>,
-    /// Memoized write effects keyed by `ba << 32 | ea`; the value
-    /// indexes `effects`, so revalidating a stale entry overwrites in
-    /// place without re-hashing.
+    /// Scratch: per-lane-pair coverage of one page (see
+    /// [`EngineCore::count_exposed`]).
+    cover: Vec<u64>,
+    /// Hash of an effect's key -> its index in `effects`. A key is
+    /// `[ba << 32 | ea, probed state ids..]`.
     memo: FxHashMap<u64, u32>,
+    /// Scratch: the current write's memo key.
+    key: Vec<u64>,
+    /// The effect table: the effects, their keys and their entries,
+    /// each append-only until the table is emptied.
     effects: Vec<Effect>,
-    /// Effect arenas: append-only, with superseded ranges reclaimed by
-    /// [`EngineCore::compact_arenas`].
-    eff_hits: Vec<u32>,
-    eff_apms: Vec<u32>,
-    /// Entries of both arenas that no effect points at any more.
-    eff_dead: usize,
-    /// Probed-page state ids of every effect. A span's probed range has
-    /// a fixed length, so a superseding sweep overwrites in place.
-    eff_pages: Vec<u64>,
+    eff_keys: Vec<u64>,
+    eff_entries: Vec<u32>,
     stats: EngineStats,
     total_writes: u64,
     /// Sweep stamp, pre-incremented per sweep; 0 is the never-stamped
@@ -343,10 +298,6 @@ impl EngineCore {
                 .iter()
                 .map(|&ps| SizeState {
                     page_size: ps,
-                    page_counts: vec![
-                        PageSessions::default();
-                        (databp_machine::MEM_SIZE >> ps.shift()) as usize
-                    ],
                     apm: Vec::new(),
                     vm_protect: Vec::new(),
                     vm_unprotect: Vec::new(),
@@ -370,12 +321,12 @@ impl EngineCore {
             hit_lanes: Vec::new(),
             word_stamp: Vec::new(),
             dirty: Vec::new(),
+            cover: Vec::new(),
             memo: FxHashMap::default(),
+            key: Vec::new(),
             effects: Vec::new(),
-            eff_hits: Vec::new(),
-            eff_apms: Vec::new(),
-            eff_dead: 0,
-            eff_pages: Vec::new(),
+            eff_keys: Vec::new(),
+            eff_entries: Vec::new(),
             stats: EngineStats::default(),
             total_writes: 0,
             stamp: 0,
@@ -440,26 +391,12 @@ impl EngineCore {
             self.occ.resize((last + 1).div_ceil(64), 0);
             self.page_state.resize(self.occ.len() * 64, EMPTY);
         }
+        self.count_exposed(inst, true);
         for page in (ba >> self.base_shift) as usize..=last {
             self.page_state[page] = self.step(self.page_state[page], inst, true);
             self.occ[page >> 6] |= 1u64 << (page & 63);
         }
-        let lanes = &self.member_lanes[members as usize];
-        for st in self.sizes.iter_mut() {
-            for page in st.page_size.pages_of_range(ba, ea) {
-                if page as usize >= st.page_counts.len() {
-                    st.page_counts
-                        .resize(page as usize + 1, PageSessions::default());
-                }
-                let counts = &mut st.page_counts[page as usize];
-                for s in lanes.iter() {
-                    if counts.add(s) {
-                        st.vm_protect[s as usize] += 1;
-                    }
-                }
-            }
-        }
-        for s in lanes.iter() {
+        for s in self.member_lanes[members as usize].iter() {
             self.installs[s as usize] += 1;
         }
     }
@@ -478,19 +415,63 @@ impl EngineCore {
                 self.occ[page >> 6] &= !(1u64 << (page & 63));
             }
         }
-        let lanes = &self.member_lanes[inst.members as usize];
-        for st in &mut self.sizes {
+        self.count_exposed(inst, false);
+        for s in self.member_lanes[inst.members as usize].iter() {
+            self.removes[s as usize] += 1;
+        }
+    }
+
+    /// Counts, at every ladder size, each page under `inst` on which a
+    /// member session of `inst` is held by no instance: no base page
+    /// under that page holds a state whose lane union contains the
+    /// session. Run before an install's page step, that is the install's
+    /// `vm_protect` (`install`); after a remove's step, its
+    /// `vm_unprotect`.
+    fn count_exposed(&mut self, inst: Instance, install: bool) {
+        let EngineCore {
+            base_shift,
+            sizes,
+            page_state,
+            states,
+            member_lanes,
+            cover,
+            ..
+        } = self;
+        let lanes = member_lanes[inst.members as usize].pairs();
+        for st in sizes.iter_mut() {
+            let d = st.page_size.shift() - *base_shift;
+            let counter = if install {
+                &mut st.vm_protect
+            } else {
+                &mut st.vm_unprotect
+            };
             for page in st.page_size.pages_of_range(inst.ba, inst.ea) {
-                let counts = &mut st.page_counts[page as usize];
-                for s in lanes.iter() {
-                    if counts.sub(s) {
-                        st.vm_unprotect[s as usize] += 1;
+                cover.clear();
+                cover.resize(lanes.len(), 0);
+                let lo = page << d;
+                for id in page_ids(page_state, lo, lo | ((1u32 << d) - 1)) {
+                    // Both pair lists ascend by word: one merge pass.
+                    let union = &states[id as u32 as usize].union;
+                    let mut j = 0;
+                    for (c, &(w, _)) in cover.iter_mut().zip(lanes) {
+                        while j < union.len() && union[j].0 < w {
+                            j += 1;
+                        }
+                        match union.get(j) {
+                            Some(&(uw, bits)) if uw == w => *c |= bits,
+                            Some(_) => {}
+                            None => break,
+                        }
+                    }
+                }
+                for (&c, &(w, bits)) in cover.iter().zip(lanes) {
+                    let mut exposed = bits & !c;
+                    while exposed != 0 {
+                        counter[(w * 64 + exposed.trailing_zeros()) as usize] += 1;
+                        exposed &= exposed - 1;
                     }
                 }
             }
-        }
-        for s in lanes.iter() {
-            self.removes[s as usize] += 1;
         }
     }
 
@@ -537,6 +518,7 @@ impl EngineCore {
                 union.push((w, bits));
             }
         }
+        union.sort_unstable_by_key(|p| p.0);
         let slot = self.free_states.pop().unwrap_or_else(|| {
             self.states.push(PageState::default());
             (self.states.len() - 1) as u32
@@ -605,117 +587,75 @@ impl EngineCore {
         if !occupied {
             return;
         }
-        // The span's effect is reusable iff every probed page holds the
-        // state it held when the effect was recorded.
-        let probed = (hi_top - lo_top + 1) as usize;
-        let key = (u64::from(ba) << 32) | u64::from(ea);
-        let slot = self.memo.get(&key).copied();
-        if let Some(i) = slot {
-            let at = self.effects[i as usize].pages as usize;
-            let recorded = &self.eff_pages[at..at + probed];
-            if page_ids(&self.page_state, lo_top, hi_top).eq(recorded.iter().copied()) {
-                self.effects[i as usize].count += 1;
+        // The span's effect under its probed pages' current states.
+        self.key.clear();
+        self.key.push((u64::from(ba) << 32) | u64::from(ea));
+        self.key.extend(page_ids(&self.page_state, lo_top, hi_top));
+        let mut hasher = FxHasher::default();
+        self.key.hash(&mut hasher);
+        let hash = hasher.finish();
+        if let Some(&i) = self.memo.get(&hash) {
+            let e = &mut self.effects[i as usize];
+            let at = e.key as usize;
+            if self.eff_keys.get(at..at + self.key.len()) == Some(&self.key[..]) {
+                e.count += 1;
                 self.stats.memo_hits += 1;
                 return;
             }
         }
-        let (hits, apms) = self.sweep(ba, ea, lo_top, hi_top);
-        match slot {
-            Some(i) => {
-                self.stats.memo_stale += 1;
-                // Settle the superseded effect's accumulated writes
-                // before the new monitor state takes its slot.
-                let old = self.effects[i as usize];
-                self.flush_effect(old);
-                let at = old.pages as usize;
-                let ids = page_ids(&self.page_state, lo_top, hi_top);
-                for (slot, id) in self.eff_pages[at..at + probed].iter_mut().zip(ids) {
-                    *slot = id;
-                }
-                self.effects[i as usize] = Effect {
-                    pages: old.pages,
-                    count: 1,
-                    hits,
-                    apms,
-                };
-                self.eff_dead += (old.hits.1 - old.hits.0 + old.apms.1 - old.apms.0) as usize;
-                if self.eff_dead > COMPACT_FLOOR
-                    && 2 * self.eff_dead > self.eff_hits.len() + self.eff_apms.len()
-                {
-                    self.compact_arenas();
-                }
-            }
-            None => {
-                self.stats.memo_new += 1;
-                let pages = self.eff_pages.len() as u32;
-                self.eff_pages
-                    .extend(page_ids(&self.page_state, lo_top, hi_top));
-                self.memo.insert(key, self.effects.len() as u32);
-                self.effects.push(Effect {
-                    pages,
-                    count: 1,
-                    hits,
-                    apms,
-                });
-            }
-        }
-    }
-
-    /// Settles an effect's accumulated multiplicity into the per-session
-    /// counters: arena ranges of hitting sessions and of
-    /// `level << LEVEL_SHIFT | session` APM entries, each charged
-    /// `count` times.
-    #[inline]
-    fn flush_effect(&mut self, e: Effect) {
-        if e.count == 0 {
-            return;
-        }
-        for &s in &self.eff_hits[e.hits.0 as usize..e.hits.1 as usize] {
-            // Page-size-independent; counted once per write and
-            // suppressing the active-page miss at every size.
-            self.hits[s as usize] += e.count;
-        }
-        for &a in &self.eff_apms[e.apms.0 as usize..e.apms.1 as usize] {
-            let s = (a & ((1 << LEVEL_SHIFT) - 1)) as usize;
-            let k = (a >> LEVEL_SHIFT) as usize;
-            // Touched at level k ⇒ touched at every coarser size.
-            for st in self.sizes[k..].iter_mut() {
-                st.apm[s] += e.count;
-            }
-        }
-    }
-
-    /// Drops the dead arena entries: slides every live range down in
-    /// place, in arena order, and re-points its effect. One order serves
-    /// both arenas because a sweep appends to each at once, so ranges
-    /// ascend in creation order in both (ties are empty ranges).
-    fn compact_arenas(&mut self) {
-        let mut order: Vec<u32> = (0..self.effects.len() as u32).collect();
-        order.sort_unstable_by_key(|&i| {
-            let e = &self.effects[i as usize];
-            (e.hits.0, e.apms.0)
+        // A combination not seen before — or, rarely, a hash collision,
+        // which costs a sweep: the effect it displaces from the memo is
+        // still flushed.
+        self.stats.memo_new += 1;
+        let entries = self.sweep(ba, ea, lo_top, hi_top);
+        self.memo.insert(hash, self.effects.len() as u32);
+        self.effects.push(Effect {
+            count: 1,
+            key: self.eff_keys.len() as u32,
+            entries,
         });
-        let (mut h, mut a) = (0u32, 0u32);
-        for i in order {
-            let e = &mut self.effects[i as usize];
-            self.eff_hits
-                .copy_within(e.hits.0 as usize..e.hits.1 as usize, h as usize);
-            self.eff_apms
-                .copy_within(e.apms.0 as usize..e.apms.1 as usize, a as usize);
-            e.hits = (h, h + e.hits.1 - e.hits.0);
-            e.apms = (a, a + e.apms.1 - e.apms.0);
-            (h, a) = (e.hits.1, e.apms.1);
+        self.eff_keys.extend_from_slice(&self.key);
+        if self.eff_entries.len() >= EFFECT_TABLE_CAP {
+            self.flush_effects();
+            self.memo.clear();
+            self.effects.clear();
+            self.eff_keys.clear();
+            self.eff_entries.clear();
         }
-        self.eff_hits.truncate(h as usize);
-        self.eff_apms.truncate(a as usize);
-        self.eff_dead = 0;
+    }
+
+    /// Settles every effect's accumulated multiplicity into the
+    /// per-session counters (idempotent: flushed multiplicities zero
+    /// out). Each packed entry is a hit or an APM at its minimum level,
+    /// charged `count` times.
+    fn flush_effects(&mut self) {
+        for e in &mut self.effects {
+            let count = std::mem::take(&mut e.count);
+            if count == 0 {
+                continue;
+            }
+            for &a in &self.eff_entries[e.entries.0 as usize..e.entries.1 as usize] {
+                let s = (a & ((1 << LEVEL_SHIFT) - 1)) as usize;
+                match (a >> LEVEL_SHIFT) as usize {
+                    // Page-size-independent; counted once per write and
+                    // suppressing the active-page miss at every size.
+                    0 => self.hits[s] += count,
+                    // Touched at level k ⇒ touched at every coarser size.
+                    tag => {
+                        for st in self.sizes[tag - 1..].iter_mut() {
+                            st.apm[s] += count;
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// The full page sweep for one write: classifies each occupied base
     /// page in the probed range with its minimum ladder level, charges
     /// member lanes, settles the dirty lane words, and records the
-    /// resulting effect in the arenas. Returns the new arena ranges.
-    fn sweep(&mut self, ba: u32, ea: u32, lo_top: u32, hi_top: u32) -> ((u32, u32), (u32, u32)) {
+    /// resulting effect in the arena. Returns the new arena range.
+    fn sweep(&mut self, ba: u32, ea: u32, lo_top: u32, hi_top: u32) -> (u32, u32) {
         self.stamp += 1;
         let stamp = self.stamp;
         let n = self.sizes.len();
@@ -731,8 +671,7 @@ impl EngineCore {
             hit_lanes,
             word_stamp,
             dirty,
-            eff_hits,
-            eff_apms,
+            eff_entries,
             lo,
             hi,
             ..
@@ -793,46 +732,36 @@ impl EngineCore {
                 }
             }
         }
-        // Settle the dirty lane words into the effect arenas. `below`
+        // Settle the dirty lane words into the effect arena. `below`
         // carries every session already accounted for at a finer level
         // (or by a hit), so each session's minimum touch level survives
         // in exactly one masked `t`.
-        let h0 = eff_hits.len() as u32;
-        let a0 = eff_apms.len() as u32;
+        let start = eff_entries.len() as u32;
         for &w in dirty.iter() {
             let w = w as usize;
             let base = (w as u32) * 64;
-            let mut bits = hit_lanes[w];
-            let mut below = bits;
-            while bits != 0 {
-                let s = base + bits.trailing_zeros();
-                bits &= bits - 1;
-                eff_hits.push(s);
-            }
-            for k in 0..n {
-                let mut t = touch_lanes[k * width + w] & !below;
+            let mut below = 0;
+            for (tag, lanes) in std::iter::once(hit_lanes[w])
+                .chain((0..n).map(|k| touch_lanes[k * width + w]))
+                .enumerate()
+            {
+                let mut t = lanes & !below;
                 below |= t;
                 while t != 0 {
                     let s = base + t.trailing_zeros();
                     t &= t - 1;
-                    eff_apms.push(((k as u32) << LEVEL_SHIFT) | s);
+                    eff_entries.push(((tag as u32) << LEVEL_SHIFT) | s);
                 }
             }
         }
-        ((h0, eff_hits.len() as u32), (a0, eff_apms.len() as u32))
+        (start, eff_entries.len() as u32)
     }
 
     /// Per-size, per-session counting variables for sessions `0..n`
     /// (result `[k][s]` is ladder size `k`, session `s`).
     pub(crate) fn counts(&mut self, n: usize) -> Vec<Vec<Counts>> {
         self.ensure_sessions(n);
-        // Settle every outstanding memoized effect (idempotent: flushed
-        // multiplicities zero out).
-        for i in 0..self.effects.len() {
-            let e = self.effects[i];
-            self.flush_effect(e);
-            self.effects[i].count = 0;
-        }
+        self.flush_effects();
         self.sizes
             .iter()
             .map(|st| {
@@ -851,6 +780,7 @@ impl EngineCore {
             .collect()
     }
 }
+
 /// Replays `trace` once, producing per-session counting variables for
 /// **each** page size in `sizes` (result `[i]` corresponds to
 /// `sizes[i]`; duplicates and any ordering are fine — the engine sorts
@@ -1373,16 +1303,14 @@ mod tests {
     }
 
     #[test]
-    fn superseded_effects_are_reclaimed_and_counts_stay_exact() {
+    fn alternating_page_states_sweep_a_constant_number_of_times() {
         // Install/remove churn of `a` around one hot span (and a coarse
-        // neighbour) changes the span's pages between every two writes,
-        // so each write supersedes the span's effect, while `b` keeps
-        // their pages occupied. The arenas must stay bounded by the live
-        // ranges plus the floor, compaction must run, and it must not
-        // disturb a single count. The `c`/`d` span, written once before
-        // the churn and once after, keeps a live range low in the
-        // arenas, just above the hot span's one-entry first effect, so
-        // compaction must move ranges in arena order, not slot order.
+        // neighbour) alternates the span's page between two states on
+        // every write, while `b` keeps it occupied. Each (span, states)
+        // combination is swept once and kept, so the sweep count must
+        // not grow with the iteration count, and every other write is a
+        // memo hit. The `c`/`d` span is written once before the churn
+        // and once after, and `e` leaves the hot page before the churn.
         let (a, b, c, d, e) = (g(0), g(1), g(2), g(3), g(4));
         let m = TableMembership::new(
             vec![
@@ -1404,42 +1332,111 @@ mod tests {
             ba,
             ea: ba + 4,
         };
+        let churn = |iterations: usize| {
+            let mut events = vec![
+                install(c, 0x8000),
+                install(d, 0x8100),
+                install(e, 0x1200),
+                write(0x1000, 0x1004),
+                write(0x8000, 0x8004),
+                remove(e, 0x1200),
+                install(b, 0x1100),
+            ];
+            for _ in 0..iterations {
+                for op in [install, remove] {
+                    events.push(op(a, 0x1000));
+                    // Hot span: hits `a`'s members; `0x3000` is an APM
+                    // at 16K only.
+                    events.extend([write(0x1000, 0x1004), write(0x3000, 0x3004)]);
+                }
+            }
+            events.push(write(0x8000, 0x8004));
+            let ladder = [PageSize::K4, PageSize::K8, PageSize::K16];
+            replay_checked(EngineCore::new(&ladder), events, &m, |_| {}).stats()
+        };
+        let (few, many) = (churn(10), churn(1000));
+        // The hot span under {e}, {a, b} and {b}; `0x3000` under
+        // {a, b} and {b}; the `c`/`d` span under one state.
+        assert_eq!(many.memo_new, 6, "{many:?}");
+        assert_eq!(few.memo_new, 6, "{few:?}");
+        assert_eq!(many.memo_hits, 4 * 1000 + 3 - 6);
+    }
+
+    #[test]
+    fn effect_table_stays_under_its_cap() {
+        // 1024 sessions watch `g(0)` and the even ones `g(1)`, on one
+        // page; two passes write 12288 distinct spans across it. Every
+        // sweep settles an entry per session, so each pass alone drives
+        // more entries than the cap: the table must be flushed and
+        // emptied without ever exceeding the cap, and the counts must
+        // stay exact.
+        let sessions = 1024u32;
+        let m = TableMembership::new(
+            vec![
+                (g(0), (0..sessions).collect()),
+                (g(1), (0..sessions).step_by(2).collect()),
+            ],
+            sessions as usize,
+        );
         let mut events = vec![
-            install(c, 0x8000),
-            install(d, 0x8100),
-            install(e, 0x1200),
-            write(0x1000, 0x1004),
-            write(0x8000, 0x8004),
-            remove(e, 0x1200),
-            install(b, 0x1100),
+            Event::Install {
+                obj: g(0),
+                ba: 0x1000,
+                ea: 0x1004,
+            },
+            Event::Install {
+                obj: g(1),
+                ba: 0x1800,
+                ea: 0x1804,
+            },
         ];
-        for _ in 0..1000 {
-            for op in [install, remove] {
-                events.push(op(a, 0x1000));
-                // Hot span: hits `a`'s members; `0x3000` is an APM at
-                // 16K only.
-                events.extend([write(0x1000, 0x1004), write(0x3000, 0x3004)]);
+        for _ in 0..2 {
+            for len in 1..=3 {
+                events.extend((0x1000..0x2000).map(|ba| write(ba, ba + len)));
             }
         }
-        events.push(write(0x8000, 0x8004));
-        let (mut last_len, mut compactions) = (0, 0);
-        let ladder = [PageSize::K4, PageSize::K8, PageSize::K16];
-        replay_checked(EngineCore::new(&ladder), events, &m, |core| {
-            let live: usize = core
-                .effects
-                .iter()
-                .map(|e| (e.hits.1 - e.hits.0 + e.apms.1 - e.apms.0) as usize)
-                .sum();
-            let len = core.eff_hits.len() + core.eff_apms.len();
-            assert_eq!(core.eff_dead, len - live, "dead-entry accounting");
-            assert!(
-                len - live <= COMPACT_FLOOR.max(live),
-                "arenas hold {len} entries for {live} live ones"
-            );
-            compactions += usize::from(len < last_len);
-            last_len = len;
-        });
-        assert!(compactions > 0, "the churn never compacted the arenas");
+        let mut core = EngineCore::new(&[PageSize::K4, PageSize::K8]);
+        core.ensure_sessions(sessions as usize);
+        let (g0, g1) = (
+            core.intern(&members_of(&m, g(0))),
+            core.intern(&members_of(&m, g(1))),
+        );
+        let (mut peak, mut clears) = (0, 0);
+        for ev in &events {
+            match *ev {
+                Event::Install { obj, ba, ea } => {
+                    core.install(obj, ba, ea, if obj == g(0) { g0 } else { g1 })
+                }
+                Event::Write { ba, ea, .. } => {
+                    let before = core.eff_entries.len();
+                    core.write(ba, ea);
+                    let after = core.eff_entries.len();
+                    assert!(after < EFFECT_TABLE_CAP, "{after} arena entries");
+                    assert!(core.effects.len() <= after, "an effect has entries");
+                    clears += usize::from(after < before);
+                    peak = peak.max(after);
+                }
+                _ => unreachable!(),
+            }
+        }
+        assert!(clears >= 2, "{clears} clears");
+        assert!(peak > EFFECT_TABLE_CAP / 2, "peak {peak}");
+        let counts = core.counts(sessions as usize);
+        let trace = Trace::from_events(events);
+        for (row, ps) in counts.iter().zip([PageSize::K4, PageSize::K8]) {
+            for s in [0, 1] {
+                assert_eq!(row[s], crate::simulate_naive(&trace, &m, ps, s as u32));
+            }
+            for (s, c) in row.iter().enumerate() {
+                assert_eq!(*c, row[s % 2], "size {ps} session {s}");
+            }
+        }
+    }
+
+    fn members_of(m: &impl Membership, obj: ObjectDesc) -> Vec<u32> {
+        let mut out = Vec::new();
+        m.sessions_of(&obj, &mut out);
+        out
     }
 
     #[test]
@@ -1508,8 +1505,8 @@ mod tests {
             replay_checked(core, events, &m, |_| {}).stats()
         };
         let (few, many) = (call_loop(10), call_loop(1000));
-        assert_eq!((many.memo_new, many.memo_stale), (3, 0), "{many:?}");
-        assert_eq!((few.memo_new, few.memo_stale), (3, 0), "{few:?}");
+        assert_eq!(many.memo_new, 3, "{many:?}");
+        assert_eq!(few.memo_new, 3, "{few:?}");
         assert_eq!(many.memo_hits, 3 * 1000 - 3);
         assert_eq!(few.states_interned, many.states_interned);
         assert_eq!(few.transitions, many.transitions);
@@ -1631,7 +1628,7 @@ mod tests {
         core.install(g(1), 0x1000, 0x1004, b);
         core.write(0x1800, 0x1804); // APM for session 1
         assert_eq!(core.epoch, 1, "one collection");
-        assert_eq!(core.stats().memo_stale, 1);
+        assert_eq!(core.stats().memo_new, 2);
         let c = core.counts(2).remove(0);
         assert_eq!((c[0].vm_active_page_miss, c[1].vm_active_page_miss), (1, 1));
     }

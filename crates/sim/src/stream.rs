@@ -144,7 +144,6 @@ impl<S: StreamMembership> StreamingReplay<S> {
         databp_telemetry::count!("sim.sessions.simulated", n as u64);
         let stats = self.core.stats();
         databp_telemetry::count!("sim.memo.hits", stats.memo_hits);
-        databp_telemetry::count!("sim.memo.stale", stats.memo_stale);
         databp_telemetry::count!("sim.memo.new", stats.memo_new);
         databp_telemetry::count!("sim.states.interned", stats.states_interned);
         databp_telemetry::count!("sim.states.transitions", stats.transitions);

@@ -66,6 +66,7 @@ pub use debuginfo::{
 pub use error::CompileError;
 pub use hir::{BinOp, Builtin, Expr, ExprKind, FuncDef, GlobalDef, Hir, LocalDef, Stmt, UnOp};
 pub use interp::{interpret, interpret_observed, InterpObserver, InterpResult, NoObserver};
+pub use parser::MAX_NESTING;
 pub use types::Type;
 
 use databp_machine::Program;

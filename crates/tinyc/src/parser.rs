@@ -4,9 +4,41 @@ use crate::ast::*;
 use crate::error::CompileError;
 use crate::lexer::{Kw, Tok, Token};
 
+/// Nesting depth beyond which parsing fails: statements inside
+/// statements, operands inside expressions (parentheses included), and
+/// left-associative chains (`a + b + …`, `a[i][j]…`), each link of which
+/// pushes the tree built so far one level down. The semantic pass, the
+/// code generators and the interpreter all recurse on the tree, so
+/// bounding it here bounds them.
+pub const MAX_NESTING: usize = 128;
+
+/// Binary operators by precedence, loosest first; all associate left.
+const BINARY_LEVELS: [&[(&str, BinOp)]; 10] = [
+    &[("||", BinOp::LogOr)],
+    &[("&&", BinOp::LogAnd)],
+    &[("|", BinOp::BitOr)],
+    &[("^", BinOp::BitXor)],
+    &[("&", BinOp::BitAnd)],
+    &[("==", BinOp::Eq), ("!=", BinOp::Ne)],
+    &[
+        ("<=", BinOp::Le),
+        (">=", BinOp::Ge),
+        ("<", BinOp::Lt),
+        (">", BinOp::Gt),
+    ],
+    &[("<<", BinOp::Shl), (">>", BinOp::Shr)],
+    &[("+", BinOp::Add), ("-", BinOp::Sub)],
+    &[("*", BinOp::Mul), ("/", BinOp::Div), ("%", BinOp::Rem)],
+];
+
 struct Parser<'a> {
     toks: &'a [Token],
     pos: usize,
+    /// Depth of the node being parsed (0 at a function body).
+    depth: usize,
+    /// The deepest level any node parsed since the innermost enclosing
+    /// chain began will sit at, chain links counted.
+    deepest: usize,
 }
 
 type PResult<T> = Result<T, CompileError>;
@@ -35,6 +67,42 @@ impl<'a> Parser<'a> {
 
     fn err<T>(&self, msg: impl Into<String>) -> PResult<T> {
         Err(CompileError::new(self.line(), msg))
+    }
+
+    fn too_deep<T>(&self) -> PResult<T> {
+        self.err(format!("nesting exceeds the limit of {MAX_NESTING}"))
+    }
+
+    /// Parses a child one level below the current node.
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> PResult<T>) -> PResult<T> {
+        if self.depth >= MAX_NESTING {
+            return self.too_deep();
+        }
+        self.depth += 1;
+        self.deepest = self.deepest.max(self.depth);
+        let r = parse(self);
+        self.depth -= 1;
+        r
+    }
+
+    /// Starts a left-associative chain at the current depth; returns
+    /// the enclosing chain's watermark for [`Parser::end_chain`].
+    fn begin_chain(&mut self) -> usize {
+        std::mem::replace(&mut self.deepest, self.depth)
+    }
+
+    /// One more link of the current chain: everything parsed so far
+    /// moves one level down.
+    fn link(&mut self) -> PResult<()> {
+        if self.deepest >= MAX_NESTING {
+            return self.too_deep();
+        }
+        self.deepest += 1;
+        Ok(())
+    }
+
+    fn end_chain(&mut self, outer: usize) {
+        self.deepest = self.deepest.max(outer);
     }
 
     fn eat_punct(&mut self, p: &str) -> bool {
@@ -96,7 +164,12 @@ impl<'a> Parser<'a> {
             return self.err(format!("expected type, found {:?}", self.peek()));
         };
         let mut ty = base;
+        let mut stars = 0;
         while self.eat_punct("*") {
+            stars += 1;
+            if stars > MAX_NESTING {
+                return self.too_deep();
+            }
             ty = TypeExpr::Ptr(Box::new(ty));
         }
         Ok(ty)
@@ -225,7 +298,7 @@ impl<'a> Parser<'a> {
                 if matches!(self.peek(), Tok::Eof) {
                     return self.err("unterminated block");
                 }
-                stmts.push(self.parse_stmt()?);
+                stmts.push(self.nested(Self::parse_stmt)?);
             }
             return Ok(Stmt::Block(stmts));
         }
@@ -236,9 +309,9 @@ impl<'a> Parser<'a> {
             self.expect_punct("(")?;
             let cond = self.parse_expr()?;
             self.expect_punct(")")?;
-            let then = Box::new(self.parse_stmt()?);
+            let then = Box::new(self.nested(Self::parse_stmt)?);
             let els = if self.eat_kw(Kw::Else) {
-                Some(Box::new(self.parse_stmt()?))
+                Some(Box::new(self.nested(Self::parse_stmt)?))
             } else {
                 None
             };
@@ -248,7 +321,7 @@ impl<'a> Parser<'a> {
             self.expect_punct("(")?;
             let cond = self.parse_expr()?;
             self.expect_punct(")")?;
-            return Ok(Stmt::While(cond, Box::new(self.parse_stmt()?)));
+            return Ok(Stmt::While(cond, Box::new(self.nested(Self::parse_stmt)?)));
         }
         if self.eat_kw(Kw::For) {
             self.expect_punct("(")?;
@@ -270,7 +343,12 @@ impl<'a> Parser<'a> {
                 Some(self.parse_expr()?)
             };
             self.expect_punct(")")?;
-            return Ok(Stmt::For(init, cond, step, Box::new(self.parse_stmt()?)));
+            return Ok(Stmt::For(
+                init,
+                cond,
+                step,
+                Box::new(self.nested(Self::parse_stmt)?),
+            ));
         }
         if self.eat_kw(Kw::Return) {
             let value = if matches!(self.peek(), Tok::Punct(";")) {
@@ -318,10 +396,10 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_assign(&mut self) -> PResult<Expr> {
-        let lhs = self.parse_logor()?;
+        let lhs = self.parse_binary(0)?;
         if self.eat_punct("=") {
             let line = lhs.line;
-            let rhs = self.parse_assign()?;
+            let rhs = self.nested(Self::parse_assign)?;
             return Ok(Expr {
                 kind: ExprKind::Assign(Box::new(lhs), Box::new(rhs)),
                 line,
@@ -330,121 +408,69 @@ impl<'a> Parser<'a> {
         Ok(lhs)
     }
 
-    fn binary_level(
-        &mut self,
-        ops: &[(&str, BinOp)],
-        next: fn(&mut Self) -> PResult<Expr>,
-    ) -> PResult<Expr> {
-        let mut lhs = next(self)?;
-        'outer: loop {
-            for (p, op) in ops {
-                if matches!(self.peek(), Tok::Punct(q) if q == p) {
-                    let line = self.line();
-                    self.bump();
-                    let rhs = next(self)?;
-                    lhs = Expr {
-                        kind: ExprKind::Binary(*op, Box::new(lhs), Box::new(rhs)),
-                        line,
-                    };
-                    continue 'outer;
-                }
-            }
-            return Ok(lhs);
+    /// The binary operator at the cursor and its index in
+    /// `BINARY_LEVELS`.
+    fn peek_binary(&self) -> Option<(usize, BinOp)> {
+        let Tok::Punct(p) = self.peek() else {
+            return None;
+        };
+        BINARY_LEVELS
+            .iter()
+            .enumerate()
+            .find_map(|(level, ops)| ops.iter().find(|(q, _)| q == p).map(|&(_, op)| (level, op)))
+    }
+
+    /// Precedence climbing over the left-associative binary operators
+    /// of `BINARY_LEVELS[min_level..]`.
+    fn parse_binary(&mut self, min_level: usize) -> PResult<Expr> {
+        let outer = self.begin_chain();
+        let mut lhs = self.parse_unary()?;
+        while let Some((level, op)) = self.peek_binary().filter(|&(l, _)| l >= min_level) {
+            let line = self.line();
+            self.bump();
+            self.link()?;
+            let rhs = self.nested(|p| p.parse_binary(level + 1))?;
+            lhs = Expr {
+                kind: ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)),
+                line,
+            };
         }
-    }
-
-    fn parse_logor(&mut self) -> PResult<Expr> {
-        self.binary_level(&[("||", BinOp::LogOr)], Self::parse_logand)
-    }
-
-    fn parse_logand(&mut self) -> PResult<Expr> {
-        self.binary_level(&[("&&", BinOp::LogAnd)], Self::parse_bitor)
-    }
-
-    fn parse_bitor(&mut self) -> PResult<Expr> {
-        self.binary_level(&[("|", BinOp::BitOr)], Self::parse_bitxor)
-    }
-
-    fn parse_bitxor(&mut self) -> PResult<Expr> {
-        self.binary_level(&[("^", BinOp::BitXor)], Self::parse_bitand)
-    }
-
-    fn parse_bitand(&mut self) -> PResult<Expr> {
-        self.binary_level(&[("&", BinOp::BitAnd)], Self::parse_equality)
-    }
-
-    fn parse_equality(&mut self) -> PResult<Expr> {
-        self.binary_level(
-            &[("==", BinOp::Eq), ("!=", BinOp::Ne)],
-            Self::parse_relational,
-        )
-    }
-
-    fn parse_relational(&mut self) -> PResult<Expr> {
-        self.binary_level(
-            &[
-                ("<=", BinOp::Le),
-                (">=", BinOp::Ge),
-                ("<", BinOp::Lt),
-                (">", BinOp::Gt),
-            ],
-            Self::parse_shift,
-        )
-    }
-
-    fn parse_shift(&mut self) -> PResult<Expr> {
-        self.binary_level(
-            &[("<<", BinOp::Shl), (">>", BinOp::Shr)],
-            Self::parse_additive,
-        )
-    }
-
-    fn parse_additive(&mut self) -> PResult<Expr> {
-        self.binary_level(
-            &[("+", BinOp::Add), ("-", BinOp::Sub)],
-            Self::parse_multiplicative,
-        )
-    }
-
-    fn parse_multiplicative(&mut self) -> PResult<Expr> {
-        self.binary_level(
-            &[("*", BinOp::Mul), ("/", BinOp::Div), ("%", BinOp::Rem)],
-            Self::parse_unary,
-        )
+        self.end_chain(outer);
+        Ok(lhs)
     }
 
     fn parse_unary(&mut self) -> PResult<Expr> {
         let line = self.line();
         if self.eat_punct("-") {
-            let e = self.parse_unary()?;
+            let e = self.nested(Self::parse_unary)?;
             return Ok(Expr {
                 kind: ExprKind::Unary(UnOp::Neg, Box::new(e)),
                 line,
             });
         }
         if self.eat_punct("!") {
-            let e = self.parse_unary()?;
+            let e = self.nested(Self::parse_unary)?;
             return Ok(Expr {
                 kind: ExprKind::Unary(UnOp::Not, Box::new(e)),
                 line,
             });
         }
         if self.eat_punct("~") {
-            let e = self.parse_unary()?;
+            let e = self.nested(Self::parse_unary)?;
             return Ok(Expr {
                 kind: ExprKind::Unary(UnOp::BitNot, Box::new(e)),
                 line,
             });
         }
         if self.eat_punct("*") {
-            let e = self.parse_unary()?;
+            let e = self.nested(Self::parse_unary)?;
             return Ok(Expr {
                 kind: ExprKind::Deref(Box::new(e)),
                 line,
             });
         }
         if self.eat_punct("&") {
-            let e = self.parse_unary()?;
+            let e = self.nested(Self::parse_unary)?;
             return Ok(Expr {
                 kind: ExprKind::AddrOf(Box::new(e)),
                 line,
@@ -460,7 +486,7 @@ impl<'a> Parser<'a> {
             self.bump();
             let ty = self.parse_type()?;
             self.expect_punct(")")?;
-            let e = self.parse_unary()?;
+            let e = self.nested(Self::parse_unary)?;
             return Ok(Expr {
                 kind: ExprKind::Cast(ty, Box::new(e)),
                 line,
@@ -470,11 +496,15 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_postfix(&mut self) -> PResult<Expr> {
+        let outer = self.begin_chain();
         let mut e = self.parse_primary()?;
         loop {
             let line = self.line();
+            if matches!(self.peek(), Tok::Punct("[" | "." | "->")) {
+                self.link()?;
+            }
             if self.eat_punct("[") {
-                let idx = self.parse_expr()?;
+                let idx = self.nested(Self::parse_expr)?;
                 self.expect_punct("]")?;
                 e = Expr {
                     kind: ExprKind::Index(Box::new(e), Box::new(idx)),
@@ -502,7 +532,7 @@ impl<'a> Parser<'a> {
                 let mut args = Vec::new();
                 if !self.eat_punct(")") {
                     loop {
-                        args.push(self.parse_expr()?);
+                        args.push(self.nested(Self::parse_expr)?);
                         if !self.eat_punct(",") {
                             break;
                         }
@@ -514,6 +544,7 @@ impl<'a> Parser<'a> {
                     line: e.line,
                 };
             } else {
+                self.end_chain(outer);
                 return Ok(e);
             }
         }
@@ -555,7 +586,7 @@ impl<'a> Parser<'a> {
             }
             Tok::Punct("(") => {
                 self.bump();
-                let e = self.parse_expr()?;
+                let e = self.nested(Self::parse_expr)?;
                 self.expect_punct(")")?;
                 Ok(e)
             }
@@ -577,6 +608,8 @@ pub fn parse(tokens: &[Token]) -> Result<Vec<Item>, CompileError> {
     Parser {
         toks: tokens,
         pos: 0,
+        depth: 0,
+        deepest: 0,
     }
     .parse_program()
 }
